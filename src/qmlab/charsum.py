@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import PreconditionViolated, UnsupportedField
 from .galois import FieldCtx
-from .residues import quadratic_character
+from .residues import b11, quadratic_character
 
 
 def _trim(coeffs) -> tuple:
@@ -119,7 +119,5 @@ def b11_trace_kernel_check(ctx: FieldCtx) -> bool:
     trace(1/y) = 0, over a binary field with e >= 3."""
     if ctx.p != 2 or ctx.e < 3:
         raise UnsupportedField("needs a binary field with e >= 3")
-    b11 = {ctx.add(m, ctx.inv(m)) for m in ctx.units}
-    return all(
-        (y in b11) == (ctx.trace(ctx.inv(y)) == 0) for y in ctx.units
-    )
+    sums = b11(ctx)
+    return all((y in sums) == (ctx.trace(ctx.inv(y)) == 0) for y in ctx.units)

@@ -10,8 +10,7 @@ non-finite numbers as null, so identical invocations give byte-identical
 reports; wall time is printed in text mode only for the same reason.
 
 `suite` composes the per-module batteries over every supported field up to
---qmax.  Setting QMLAB_THREADS above 1 runs independent checks in a thread
-pool; the report order is fixed by construction order, not completion.
+--qmax.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ import argparse
 import itertools
 import json
 import math
-import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
@@ -40,6 +37,7 @@ from .galois import (
     mask_from_hex,
     mask_of,
     mask_to_hex,
+    prime_power,
 )
 from .linleak import TraceQuery, linear_impossibility_check, transcript_collision
 from .pqm import (
@@ -58,6 +56,7 @@ from .qm import (
     SUCCESS,
     InvalidScheme,
     LeakageScheme,
+    collision_witness,
     leak_bit,
     mqm_check,
     search_min_bandwidth,
@@ -65,6 +64,7 @@ from .qm import (
     verify_scheme,
 )
 from .residues import (
+    b11,
     build_sqrt_system,
     minus_one_is_residue,
     omega_set,
@@ -73,7 +73,7 @@ from .residues import (
     scaled_pair,
     scaled_pair_union_size,
 )
-from .rscode import b11, bucket, bucket_eval, scalar_evolution
+from .rscode import bucket, bucket_eval, scalar_evolution
 from .shamir7 import download_cost, figure1_table, gf7_scheme, one_bit_leak, verify_gf7
 
 _MODES = {"qm": QM, "mqm": MQM, "appendix": APPENDIX}
@@ -227,6 +227,28 @@ def read_scheme(path: str) -> LeakageScheme:
     return scheme_from_obj(_load_json(path), where=path)
 
 
+def _read_v_file(path: str, q: int | None) -> tuple:
+    """(field, v_seq) from a JSON object holding a 'v_seq' list of element
+    lists; the field is the file's 'field' descriptor if it has one, else GF(q)."""
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "v_seq" not in obj:
+        raise SchemaError(f"{path}: missing field 'v_seq'")
+    if "field" in obj:
+        ctx = _field_from_obj(obj["field"], f"{path}.field")
+    elif q:
+        ctx = field(q)
+    else:
+        raise SchemaError(f"{path}: no field descriptor; pass --q")
+    v_seq = []
+    for idx, entry in enumerate(_require(obj, "v_seq", list, path)):
+        if not isinstance(entry, list) or not all(
+            isinstance(x, int) and 0 <= x < ctx.q for x in entry
+        ):
+            raise SchemaError(f"{path}.v_seq[{idx}]: expected field elements")
+        v_seq.append(frozenset(entry))
+    return ctx, tuple(v_seq)
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -258,25 +280,19 @@ def _grid_lines(ctx: FieldCtx, cells: dict) -> list:
     return lines
 
 
-def _collision_witness(scheme: LeakageScheme, domain) -> dict:
-    dom = frozenset(domain)
-    ctx = scheme.ctx
-    seen = {}
-    for c0 in ctx.elements:
-        for c1 in ctx.elements:
-            g = ctx.mul(c0, c1)
-            if g not in dom:
-                continue
-            bits = transcript(scheme, (c0, c1))
-            prev = seen.setdefault(bits, ((c0, c1), g))
-            if prev[1] != g:
-                return {
-                    "message_a": list(prev[0]),
-                    "message_b": [c0, c1],
-                    "products": [prev[1], g],
-                    "transcript": list(bits),
-                }
-    raise AssertionError("no transcript collision found")  # caller saw one
+def _figure1_mismatches(ctx: FieldCtx, table) -> list:
+    """[point, product] cells where the hand-written grid differs from bucket_eval."""
+    return [
+        [a, g]
+        for a in ctx.elements
+        for g in ctx.elements
+        if table[a][g] != bucket_eval(ctx, g, a).points
+    ]
+
+
+def _query_space(ctx: FieldCtx) -> list:
+    """Every trace probe (unit point, any coefficient) of one symbol."""
+    return [TraceQuery(a, g) for a in ctx.units for g in ctx.elements]
 
 
 # ---------------------------------------------------------------- commands
@@ -334,6 +350,9 @@ def cmd_residues(args) -> RunReport:
 
 def cmd_charsum(args) -> RunReport:
     ctx = _field_from_args(args)
+    for idx, c in enumerate(args.poly):
+        if not 0 <= c < ctx.q:
+            raise PreconditionViolated(f"--poly[{idx}] = {c} is not an element of GF({ctx.q})")
     report = complete_char_sum(ctx, tuple(args.poly))
     payload = {
         "field": ctx.descriptor(),
@@ -384,10 +403,10 @@ def cmd_qm_verify(args) -> RunReport:
                 "schedule-restricted", not off, **({"counterexample": off} if off else {})
             )
         )
-    ok = verify_scheme(scheme, domain)
-    entry = _check("transcript-separates-products", ok, domain=args.domain)
-    if not ok:
-        entry["counterexample"] = _collision_witness(scheme, domain)
+    witness = collision_witness(scheme, domain)
+    entry = _check("transcript-separates-products", witness is None, domain=args.domain)
+    if witness is not None:
+        entry["counterexample"] = witness._asdict()
     checks.append(entry)
     payload = {
         "field": ctx.descriptor(),
@@ -434,25 +453,8 @@ def cmd_qm_convert(args) -> RunReport:
 
 
 def cmd_pqm_run(args) -> RunReport:
-    obj = _load_json(args.v_file)
-    if not isinstance(obj, dict) or "v_seq" not in obj:
-        raise SchemaError(f"{args.v_file}: missing field 'v_seq'")
-    if "field" in obj:
-        ctx = _field_from_obj(obj["field"], f"{args.v_file}.field")
-    elif args.q:
-        ctx = field(args.q)
-    else:
-        raise SchemaError(f"{args.v_file}: no field descriptor; pass --q")
-    v_seq = []
-    for idx, entry in enumerate(obj["v_seq"]):
-        if not isinstance(entry, list) or not all(
-            isinstance(x, int) and 0 <= x < ctx.q for x in entry
-        ):
-            raise SchemaError(f"{args.v_file}.v_seq[{idx}]: expected field elements")
-        v_seq.append(frozenset(entry))
-    outcome, state = run_pqm(
-        ctx, build_sqrt_system(ctx), tuple(v_seq), tuple(args.transcript)
-    )
+    ctx, v_seq = _read_v_file(args.v_file, args.q)
+    outcome, state = run_pqm(ctx, build_sqrt_system(ctx), v_seq, tuple(args.transcript))
     alive = state.nonempty()
     payload = {
         "field": ctx.descriptor(),
@@ -471,11 +473,10 @@ def cmd_pqm_run(args) -> RunReport:
 def cmd_game(args) -> RunReport:
     ctx = _field_from_args(args)
     v_seq = ()
-    if getattr(args, "v_file", None):
-        obj = _load_json(args.v_file)
-        if not isinstance(obj, dict) or "v_seq" not in obj:
-            raise SchemaError(f"{args.v_file}: missing field 'v_seq'")
-        v_seq = tuple(frozenset(v) for v in obj["v_seq"])
+    if args.v_file:
+        file_ctx, v_seq = _read_v_file(args.v_file, ctx.q)
+        if file_ctx != ctx:
+            raise SchemaError(f"{args.v_file}: field descriptor differs from the selected field")
     config = GameConfig(
         ctx,
         args.strategy,
@@ -515,7 +516,7 @@ def cmd_linleak_check(args) -> RunReport:
     ctx = _field_from_args(args)
     t = 2 * ctx.e - 1
     if args.exhaustive:
-        space = [TraceQuery(a, g) for a in ctx.units for g in ctx.elements]
+        space = _query_space(ctx)
         if len(space) ** t > _EXHAUSTIVE_LIMIT:
             raise PreconditionViolated(
                 f"{len(space) ** t} query tuples; use --samples for GF({ctx.q})"
@@ -587,12 +588,7 @@ def cmd_gf7_table(args) -> RunReport:
     ctx = field(7)
     table = figure1_table()
     cells = {(a, g): table[a][g] for a in ctx.elements for g in ctx.elements}
-    bad = [
-        [a, g]
-        for a in ctx.elements
-        for g in ctx.elements
-        if table[a][g] != bucket_eval(ctx, g, a).points
-    ]
+    bad = _figure1_mismatches(ctx, table)
     payload = {
         "field": ctx.descriptor(),
         "q": 7,
@@ -838,12 +834,7 @@ def _sc_gf7_truncations() -> dict:
 def _sc_gf7_figure1() -> dict:
     ctx = field(7)
     table = figure1_table()
-    bad = [
-        [a, g]
-        for a in ctx.elements
-        for g in ctx.elements
-        if table[a][g] != bucket_eval(ctx, g, a).points
-    ]
+    bad = _figure1_mismatches(ctx, table)
     spots = (
         table[1][4] == {2, 3, 4, 5}
         and table[2][3] == {0, 2, 5}
@@ -982,9 +973,8 @@ def _sc_game_floor(q: int, seed: int) -> dict:
 
 def _sc_linleak_exhaustive() -> dict:
     ctx = field(4)
-    space = [TraceQuery(a, g) for a in ctx.units for g in ctx.elements]
     count = verified = 0
-    for tup in itertools.product(space, repeat=3):
+    for tup in itertools.product(_query_space(ctx), repeat=3):
         count += 1
         verified += linear_impossibility_check(ctx, 2, 0, 1, tup)
     return _check(
@@ -1020,19 +1010,6 @@ def _sc_linleak_lift() -> dict:
     return _check("linleak-lift-gf4", ok, q=4)
 
 
-def _prime_power(n: int):
-    for p in range(2, n + 1):
-        if p * p > n:
-            return (n, 1)
-        if n % p == 0:
-            m, e = n, 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            return (p, e) if m == 1 else None
-    return None
-
-
 def _suite_builders(qmax: int, seed: int) -> list:
     builders = []
 
@@ -1040,7 +1017,7 @@ def _suite_builders(qmax: int, seed: int) -> list:
         builders.append(_guarded(name, q, fn))
 
     for q in range(3, qmax + 1):
-        pe = _prime_power(q)
+        pe = prime_power(q)
         if pe is None:
             continue
         p, _e = pe
@@ -1095,13 +1072,7 @@ def _suite_builders(qmax: int, seed: int) -> list:
 
 
 def cmd_suite(args) -> RunReport:
-    builders = _suite_builders(args.qmax, args.seed)
-    threads = max(1, int(os.environ.get("QMLAB_THREADS", "1")))
-    if threads == 1:
-        checks = [build() for build in builders]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(lambda build: build(), builders))
+    checks = [build() for build in _suite_builders(args.qmax, args.seed)]
     payload = {
         "qmax": args.qmax,
         "seed": args.seed,
@@ -1163,15 +1134,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--transcript", type=_csv_ints, required=True, help="bits (e.g. 0,1,0)")
     sp.add_argument("--q", type=int, help="field size when the file has no descriptor")
 
-    def game_flags(sp):
-        field_flags(sp)
-        sp.add_argument("--strategy", choices=("greedy-halving", "random-set", "replay"),
-                        default="greedy-halving")
-        sp.add_argument("--max-rounds", type=int, default=None)
-        sp.add_argument("--v-file", default=None, help="v_seq JSON for the replay strategy")
-
-    game_flags(leaf(pqmsub, "game", cmd_game, "adversarial pruning game"))
-    game_flags(leaf(sub, "game", cmd_game, "adversarial pruning game"))
+    sp = leaf(sub, "game", cmd_game, "adversarial pruning game")
+    field_flags(sp)
+    sp.add_argument("--strategy", choices=("greedy-halving", "random-set", "replay"),
+                    default="greedy-halving")
+    sp.add_argument("--max-rounds", type=int, default=None)
+    sp.add_argument("--v-file", default=None, help="v_seq JSON for the replay strategy")
 
     sp = leaf(sub, "bound", cmd_bound, "closed-form round floors")
     field_flags(sp)

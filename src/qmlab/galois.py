@@ -51,6 +51,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p**e, or None when q is not a prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    e = 0
+    while q % p == 0:
+        q //= p
+        e += 1
+    return (p, e) if q == 1 else None
+
+
 # --- polynomial helpers over F_p (dense little-endian coefficient lists) ---
 
 
@@ -149,7 +161,6 @@ class FieldCtx:
         self.irreducible = irreducible
         self._exp = None  # exp/log tables, built for small fields
         self._log = None
-        self._generator = None
         if q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -214,16 +225,14 @@ class FieldCtx:
         return n
 
     def _build_tables(self):
-        g = 1
-        if self.q > 2:
-            g = next(a for a in range(2, self.q) if self._order(a) == self.q - 1)
+        g = find_primitive(self)
         exp = [1] * (self.q - 1)
         for i in range(1, self.q - 1):
             exp[i] = self._raw_mul(exp[i - 1], g)
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log, self._generator = exp, log, g
+        self._exp, self._log = exp, log
 
     # -- field operations ----------------------------------------------------
 
@@ -300,19 +309,10 @@ def field_pe(p: int, e: int) -> FieldCtx:
 @lru_cache(maxsize=None)
 def field(q: int) -> FieldCtx:
     """FieldCtx for the prime power q with the canonical reducing polynomial."""
-    if q < 2:
+    pe = prime_power(q)
+    if pe is None:
         raise ValueError(f"q={q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                e += 1
-            if n != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return field_pe(p, e)
-    raise ValueError(f"q={q} is not a prime power")
+    return field_pe(*pe)
 
 
 @lru_cache(maxsize=None)

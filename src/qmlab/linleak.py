@@ -33,61 +33,13 @@ def trace_leak(ctx: FieldCtx, query: TraceQuery, x: int) -> int:
     return ctx.trace(ctx.mul(query.gamma, x))
 
 
-@dataclass(frozen=True)
-class FrobeniusSystem:
-    """Digit-coordinate view of the field: psi writes an element over the
-    power basis 1, x, ..., x^{e-1}, phi(a) is the matrix multiplying by a in
-    those coordinates, and the Frobenius matrix P satisfies
-    P^w psi(x) = psi(x^(p^w))."""
-
-    ctx: FieldCtx
-    frobenius_matrix: tuple
-
-    def psi(self, a: int) -> tuple:
-        return tuple(self.ctx.digits(a))
-
-    def element(self, digits) -> int:
-        return self.ctx.from_digits(digits)
-
-    def phi(self, a: int) -> tuple:
-        ctx = self.ctx
-        cols = [self.psi(ctx.mul(a, ctx.p**w)) for w in range(ctx.e)]
-        return tuple(tuple(col[r] for col in cols) for r in range(ctx.e))
-
-    def trace_row(self, y: int) -> tuple:
-        """Row 0 of sum_w phi(y^(p^w)) P^w: the digit functional whose value
-        at psi(x) is trace(y*x), since traces sit in digit 0 of this basis."""
-        ctx = self.ctx
-        row = [0] * ctx.e
-        power = _identity(ctx.e)
-        for w in range(ctx.e):
-            block = _mat_mul(self.phi(ctx.frobenius(y, w)), power, ctx.p)
-            row = [(r + b) % ctx.p for r, b in zip(row, block[0])]
-            power = _mat_mul(self.frobenius_matrix, power, ctx.p)
-        return tuple(row)
-
-
-def _identity(e: int) -> tuple:
-    return tuple(tuple(int(r == c) for c in range(e)) for r in range(e))
-
-
-def _mat_mul(a, b, p: int) -> tuple:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) % p for c in range(n))
-        for r in range(n)
-    )
-
-
-def _mat_vec(a, x, p: int) -> tuple:
-    return tuple(sum(row[k] * x[k] for k in range(len(x))) % p for row in a)
-
-
 @lru_cache(maxsize=None)
-def build_frobenius_system(ctx: FieldCtx) -> FrobeniusSystem:
-    cols = [ctx.digits(ctx.frobenius(ctx.p**w)) for w in range(ctx.e)]
-    matrix = tuple(tuple(col[r] for col in cols) for r in range(ctx.e))
-    return FrobeniusSystem(ctx, matrix)
+def _trace_row(ctx: FieldCtx, y: int) -> tuple:
+    """Row y of the field's trace-row table: (trace(y * x^c))_c, where the
+    basis element x^c is encoded as p**c.  The trace is prime-subfield
+    linear, so the row's dot product with the digits of x is trace(y*x).
+    The cache fills the table only with rows the queries ask for."""
+    return tuple(ctx.trace(ctx.mul(y, ctx.p**c)) for c in range(ctx.e))
 
 
 def _kernel_vector(rows, width: int, p: int) -> tuple:
@@ -130,14 +82,13 @@ def zero_trace_line(ctx: FieldCtx, queries) -> tuple:
     e = ctx.e
     if len(queries) != 2 * e - 1:
         raise PreconditionViolated(f"need exactly {2 * e - 1} queries")
-    system = build_frobenius_system(ctx)
     rows = [
-        system.trace_row(ctx.mul(qy.gamma, qy.alpha)) + system.trace_row(qy.gamma)
+        _trace_row(ctx, ctx.mul(qy.gamma, qy.alpha)) + _trace_row(ctx, qy.gamma)
         for qy in queries
     ]
     vec = _kernel_vector(rows, 2 * e, ctx.p)
-    u = system.element(vec[:e])
-    v = system.element(vec[e:])
+    u = ctx.from_digits(vec[:e])
+    v = ctx.from_digits(vec[e:])
     assert (u, v) != (0, 0)
     for qy in queries:
         assert trace_leak(ctx, qy, ctx.add(ctx.mul(u, qy.alpha), v)) == 0

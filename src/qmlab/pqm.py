@@ -21,8 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
 from .galois import FieldCtx, mask_complement, mask_of
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
-from .residues import SqrtSystem, build_sqrt_system, omega_set
-from .rscode import b11
+from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
 
 STRATEGIES = ("greedy-halving", "random-set", "replay")
 

@@ -139,6 +139,27 @@ def _domain_messages(ctx: FieldCtx, product_domain):
     return out
 
 
+class Collision(NamedTuple):
+    message_a: tuple
+    message_b: tuple
+    products: tuple
+    transcript: tuple
+
+
+def collision_witness(scheme: LeakageScheme, product_domain) -> Collision | None:
+    """The first pair of in-domain messages with different products and the
+    same transcript, in _domain_messages order, or None when there is none."""
+    if scheme.k != 2:
+        raise PreconditionViolated("verification works on dimension-2 schemes")
+    seen: dict[tuple, tuple] = {}
+    for coeffs, g in _domain_messages(scheme.ctx, product_domain):
+        bits = transcript(scheme, coeffs)
+        prev, prev_g = seen.setdefault(bits, (coeffs, g))
+        if prev_g != g:
+            return Collision(prev, coeffs, (prev_g, g), bits)
+    return None
+
+
 def verify_scheme(scheme: LeakageScheme, product_domain) -> bool:
     """True iff the transcript determines the product over the given domain.
 
@@ -146,14 +167,7 @@ def verify_scheme(scheme: LeakageScheme, product_domain) -> bool:
     products must never share a transcript.  That is equivalent to run_qm
     returning Success with the right product on every in-domain message.
     """
-    if scheme.k != 2:
-        raise PreconditionViolated("verification works on dimension-2 schemes")
-    seen: dict[tuple, int] = {}
-    for coeffs, g in _domain_messages(scheme.ctx, product_domain):
-        bits = transcript(scheme, coeffs)
-        if seen.setdefault(bits, g) != g:
-            return False
-    return True
+    return collision_witness(scheme, product_domain) is None
 
 
 def mqm_check(scheme: LeakageScheme) -> bool:

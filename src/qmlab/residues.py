@@ -1,4 +1,4 @@
-"""Restricted product sets, square-root representative systems, scaled pairs.
+"""Restricted product sets, the base image B_1(1), square-root systems, scaled pairs.
 
 The restricted set Omega_q is the set of nonzero squares for odd
 characteristic and, for binary fields with e >= 3, the even powers
@@ -196,8 +196,16 @@ class ScaledPair:
 
 
 @lru_cache(maxsize=None)
-def _b11_set(ctx: FieldCtx) -> frozenset:
-    return frozenset(ctx.add(m, ctx.inv(m)) for m in ctx.units)
+def b11(ctx: FieldCtx) -> frozenset:
+    """The sums {m + 1/m : m a unit}, i.e. the evaluation image B_1(1)."""
+    if ctx.q in (2, 4):
+        raise UnsupportedField(f"no restricted-set theory over GF({ctx.q})")
+    out = frozenset(ctx.add(m, ctx.inv(m)) for m in ctx.units)
+    if ctx.p > 2:
+        assert len(out) == (ctx.q + 1) // 2
+    else:
+        assert len(out) == ctx.q // 2
+    return out
 
 
 def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledPair:
@@ -228,7 +236,7 @@ def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledP
         raise NoPairExists("B_1(1)* over GF(5) = {2,3} admits no usable pair")
     if sqrt_system is None:
         sqrt_system = build_sqrt_system(ctx)
-    b11 = _b11_set(ctx) - {0}
+    b11_star = b11(ctx) - {0}
     regime = sqrt_system.regime
     if regime == BINARY:
         w = sqrt_system.omega_set.omega
@@ -236,14 +244,14 @@ def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledP
         b = w
     elif regime == P3MOD4_E_ODD:
         qr = _qr_set(ctx)
-        a = min(y for y in b11 if y in qr)
-        b = min(y for y in b11 if y not in qr)
+        a = min(y for y in b11_star if y in qr)
+        b = min(y for y in b11_star if y not in qr)
     else:
         qr = _qr_set(ctx)
-        a = min(y for y in b11 if y in qr)
+        a = min(y for y in b11_star if y in qr)
         b = ctx.neg(a)
     assert a != b and a != 0 and b != 0
-    assert a in b11 and b in b11
+    assert a in b11_star and b in b11_star
     return ScaledPair(a, b)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, mask_elems
-from .residues import SqrtSystem, omega_set
+from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
 
@@ -87,19 +87,6 @@ def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> EvalImage:
     for line in bucket(ctx, gamma).lines:
         mask |= 1 << line_eval(ctx, line, alpha)
     return EvalImage(gamma, alpha, mask)
-
-
-@lru_cache(maxsize=None)
-def b11(ctx: FieldCtx) -> frozenset:
-    """The sums {m + 1/m : m a unit}, i.e. the evaluation image B_1(1)."""
-    if ctx.q in (2, 4):
-        raise UnsupportedField(f"no restricted-set theory over GF({ctx.q})")
-    out = frozenset(ctx.add(m, ctx.inv(m)) for m in ctx.units)
-    if ctx.p > 2:
-        assert len(out) == (ctx.q + 1) // 2
-    else:
-        assert len(out) == ctx.q // 2
-    return out
 
 
 def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> Line:

@@ -71,6 +71,13 @@ def test_charsum_weil_and_square_factor_gate(capsys):
     assert report["value"] == 6
 
 
+def test_charsum_rejects_out_of_field_coefficients(capsys):
+    for q, poly, entry in (("7", "0,9,0,1", "--poly[1] = 9"), ("9", "0,-1,0,1", "--poly[1] = -1")):
+        assert cmd_dispatch(["charsum", "--q", q, "--poly", poly]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and entry in err and err.count("\n") == 1
+
+
 def test_buckets_text_grid(capsys):
     code, out = run_cli(capsys, ["buckets", "--q", "3"])
     assert code == 0
@@ -192,6 +199,23 @@ def test_pqm_run_rejects_malformed_v_file(capsys, tmp_path):
     assert "v_seq[1]" in capsys.readouterr().err
 
 
+def test_game_rejects_malformed_v_file(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    for doc, where in (({"v_seq": [5]}, "v_seq[0]"), ({"v_seq": [[0], [7]]}, "v_seq[1]")):
+        path.write_text(json.dumps(doc))
+        argv = ["game", "--q", "7", "--strategy", "replay", "--v-file", str(path)]
+        assert cmd_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err and err.count("\n") == 1
+    path.write_text(json.dumps({"field": field(11).descriptor(), "v_seq": [[1]]}))
+    assert cmd_dispatch(["game", "--q", "7", "--strategy", "replay", "--v-file", str(path)]) == 2
+    assert "differs from the selected field" in capsys.readouterr().err
+    path.write_text(json.dumps({"field": field(7).descriptor(), "v_seq": [[0, 1, 2], [3]]}))
+    argv = ["game", "--q", "7", "--strategy", "replay", "--v-file", str(path), "--json"]
+    code, out = run_cli(capsys, argv)
+    assert code in (0, 1) and json.loads(out)["rounds_played"] <= 2
+
+
 def test_game_meets_floor(capsys):
     code, report = run_json(capsys, ["game", "--q", "7", "--strategy", "greedy-halving"])
     assert code == 0
@@ -222,14 +246,6 @@ def test_suite_repeat_runs_byte_identical(capsys):
     _, first = run_cli(capsys, ["suite", "--qmax", "8", "--seed", "0", "--json"])
     _, second = run_cli(capsys, ["suite", "--qmax", "8", "--seed", "0", "--json"])
     assert first == second
-
-
-def test_suite_thread_pool_matches_serial(capsys, monkeypatch):
-    monkeypatch.setenv("QMLAB_THREADS", "1")
-    _, serial = run_cli(capsys, ["suite", "--qmax", "8", "--json"])
-    monkeypatch.setenv("QMLAB_THREADS", "3")
-    _, pooled = run_cli(capsys, ["suite", "--qmax", "8", "--json"])
-    assert serial == pooled
 
 
 def test_suite_subprocess_byte_identical():

@@ -15,6 +15,7 @@ from qmlab.galois import (
     mask_from_hex,
     mask_of,
     mask_to_hex,
+    prime_power,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
@@ -136,6 +137,18 @@ def test_trace_additive_and_frobenius_invariant():
             assert ctx.trace(ctx.pow(a, ctx.p)) == ctx.trace(a)
             for b in range(0, q, 3):
                 assert ctx.trace(ctx.add(a, b)) == (ctx.trace(a) + ctx.trace(b)) % ctx.p
+
+
+def test_prime_power():
+    powers = {p**e: (p, e) for p in (2, 3, 5, 7, 11, 13, 17, 19) for e in range(1, 9)}
+    for n in range(-2, 400):
+        want = powers.get(n)
+        if want is None and n > 1 and all(n % d for d in range(2, n)):
+            want = (n, 1)  # primes above 19
+        assert prime_power(n) == want, n
+    assert prime_power(2**20) == (2, 20) and prime_power(2 * 1_000_003) is None
+    with pytest.raises(ValueError, match="not a prime power"):
+        field(12)
 
 
 def test_find_primitive():
