@@ -154,11 +154,16 @@ class RunReport:
 # ---------------------------------------------------------------- scheme io
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; `true` and `false` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require(obj: dict, key: str, kinds, where: str):
     if key not in obj:
         raise SchemaError(f"{where}: missing field {key!r}")
     val = obj[key]
-    if not isinstance(val, kinds):
+    if not (_is_int(val) if kinds is int else isinstance(val, kinds)):
         raise SchemaError(f"{where}: field {key!r} has the wrong type")
     return val
 
@@ -170,8 +175,15 @@ def _field_from_obj(fd, where: str) -> FieldCtx:
     e = _require(fd, "e", int, where)
     if e > 1 and "irreducible" not in fd:
         raise SchemaError(f"{where}: missing field 'irreducible' (required for e > 1)")
+    irreducible = fd.get("irreducible")
+    if irreducible is not None:
+        if not isinstance(irreducible, list):
+            raise SchemaError(f"{where}: field 'irreducible' has the wrong type")
+        for idx, c in enumerate(irreducible):
+            if not (_is_int(c) and 0 <= c < p):
+                raise SchemaError(f"{where}.irreducible[{idx}]: expected an element of GF({p})")
     try:
-        return FieldCtx(p, e, fd.get("irreducible"))
+        return FieldCtx(p, e, irreducible)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
 
@@ -198,8 +210,10 @@ def scheme_from_obj(obj, where: str = "scheme") -> LeakageScheme:
     j = _require(obj, "j", int, where)
     servers = _require(obj, "servers", list, where)
     schedule = _require(obj, "schedule", list, where)
-    if not all(isinstance(x, int) for x in servers + schedule):
-        raise SchemaError(f"{where}: servers and schedule must hold integers")
+    for key, seq in (("servers", servers), ("schedule", schedule)):
+        for idx, x in enumerate(seq):
+            if not _is_int(x):
+                raise SchemaError(f"{where}.{key}[{idx}]: expected an integer")
     sets = []
     for idx, text in enumerate(_require(obj, "sets", list, where)):
         if not isinstance(text, str):
@@ -242,7 +256,7 @@ def _read_v_file(path: str, q: int | None) -> tuple:
     v_seq = []
     for idx, entry in enumerate(_require(obj, "v_seq", list, path)):
         if not isinstance(entry, list) or not all(
-            isinstance(x, int) and 0 <= x < ctx.q for x in entry
+            _is_int(x) and 0 <= x < ctx.q for x in entry
         ):
             raise SchemaError(f"{path}.v_seq[{idx}]: expected field elements")
         v_seq.append(frozenset(entry))
@@ -628,7 +642,7 @@ def _guarded(name: str, q: int, fn):
     def run() -> dict:
         try:
             return fn()
-        except (QmLabError, AssertionError) as exc:
+        except Exception as exc:  # one broken check must not abort the battery
             return _check(name, False, q=q, error=f"{type(exc).__name__}: {exc}")
 
     return run

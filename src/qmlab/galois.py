@@ -11,6 +11,19 @@ degree e over F_p, compared as the coefficient sequence (c_0, ..., c_{e-1}, 1)
 with the constant term first.  It is found by deterministic search, so two
 runs (or two implementations) agree on every encoding without an external
 polynomial table.
+
+Addition takes one of three paths, fixed by the field:
+
+- p = 2: the base-2 digits add mod 2, so a + b = a - b = a XOR b and -a = a.
+- odd p with exp/log tables (q <= _TABLE_LIMIT): Zech logarithms.  For a
+  generator g and i in [0, q-1), zech[i] = log(1 + g^i), or -1 when
+  1 + g^i = 0, so g^i + g^j = g^(i + zech[j - i]) is one table lookup
+  (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 1990).
+  Negation is a shift by (q-1)/2 in the exponent, because g^((q-1)/2) = -1.
+- odd p above the table limit: digit-wise arithmetic mod p, the same fork
+  `mul` takes between the tables and polynomial reduction.
+
+Prime fields (e = 1) add residues mod p directly.
 """
 
 from __future__ import annotations
@@ -140,6 +153,12 @@ class FieldCtx:
     """A concrete GF(p^e) with fixed reducing polynomial and integer encoding."""
 
     def __init__(self, p: int, e: int, irreducible=None):
+        # size checks come first: primality testing a huge p, or raising p to
+        # a huge e, would not finish
+        if p > MAX_Q:
+            raise ValueError(f"p={p} exceeds the supported limit {MAX_Q}")
+        if e > MAX_Q.bit_length():
+            raise ValueError(f"q={p}^{e} exceeds the supported limit {MAX_Q}")
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if e < 1:
@@ -161,6 +180,7 @@ class FieldCtx:
         self.irreducible = irreducible
         self._exp = None  # exp/log tables, built for small fields
         self._log = None
+        self._zech = None  # Zech logarithms, for tabled odd-p extension fields
         if q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -233,22 +253,54 @@ class FieldCtx:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp, log
+        if self.p > 2 and self.e > 1:
+            # adding 1 changes only digit 0 of the encoding; 1 + v = 0 iff v = -1
+            p = self.p
+            ones = (v - v % p + (v + 1) % p for v in exp)
+            self._zech = [log[w] if w else -1 for w in ones]
 
     # -- field operations ----------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        """a + b: mod p for prime fields, XOR for p = 2, a Zech-logarithm lookup
+        for tabled odd-p extension fields, digit-wise mod p above the table limit."""
         if self.e == 1:
             return (a + b) % self.p
-        p = self.p
-        return self.from_digits((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        if self.p == 2:
+            return a ^ b
+        zech = self._zech
+        if zech is None:
+            p = self.p
+            return self.from_digits((x + y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        # g^i + g^j = g^i * (1 + g^(j-i)) = g^(i + zech[j-i])
+        log = self._log
+        n = self.q - 1
+        i = log[a]
+        z = zech[(log[b] - i) % n]
+        return 0 if z < 0 else self._exp[(i + z) % n]
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a - b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if self._zech is not None:
+            return self.add(a, self.neg(b))
         p = self.p
         return self.from_digits((x - y) % p for x, y in zip(self.digits(a), self.digits(b)))
 
     def neg(self, a: int) -> int:
+        if a == 0 or self.p == 2:
+            return a
+        if self.e == 1:
+            return self.p - a
+        if self._exp is not None:  # -1 = g^((q-1)/2)
+            n = self.q - 1
+            return self._exp[(self._log[a] + n // 2) % n]
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
@@ -309,6 +361,8 @@ def field_pe(p: int, e: int) -> FieldCtx:
 @lru_cache(maxsize=None)
 def field(q: int) -> FieldCtx:
     """FieldCtx for the prime power q with the canonical reducing polynomial."""
+    if q > MAX_Q:  # before prime_power, whose trial division would not finish
+        raise ValueError(f"q={q} exceeds the supported limit {MAX_Q}")
     pe = prime_power(q)
     if pe is None:
         raise ValueError(f"q={q} is not a prime power")

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from qmlab import cli
 from qmlab.cli import canonical_json, cmd_dispatch, read_scheme, scheme_from_obj, scheme_to_obj
 from qmlab.errors import SchemaError
 from qmlab.galois import field
@@ -36,6 +38,18 @@ def test_exit_code_usage_error(capsys):
     assert err.value.code == 2
     assert cmd_dispatch(["field", "--q", "6"]) == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--q", "--p"])
+def test_field_rejects_oversized_before_factoring(flag):
+    # trial division of this prime would not finish; the size check must come first
+    argv = [sys.executable, "-m", "qmlab", "field", flag, "1000000000000000003"]
+    start = time.perf_counter()
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "exceeds the supported limit" in done.stderr
 
 
 def test_exit_codes_pass_and_fail(capsys):
@@ -135,6 +149,11 @@ def test_scheme_schema_errors(tmp_path):
         scheme_from_obj(broken(field={"p": 2, "e": 3}))
     with pytest.raises(SchemaError, match="hex mask string"):
         scheme_from_obj(broken(sets=[60] + good["sets"][1:]))
+    with pytest.raises(SchemaError, match="wrong type"):
+        scheme_from_obj(broken(k=True))
+    for coeffs, idx in (([0, True], 1), (["0", 1], 0), ([0, 8], 1)):
+        with pytest.raises(SchemaError, match=f"irreducible\\[{idx}\\]"):
+            scheme_from_obj(broken(field={"p": 7, "e": 1, "irreducible": coeffs}))
     bad = tmp_path / "bad.json"
     bad.write_text('{"field": {"p": 7, "e": 1}\n  "k": 2}')
     with pytest.raises(SchemaError, match=r"bad\.json:2:3"):
@@ -199,6 +218,26 @@ def test_pqm_run_rejects_malformed_v_file(capsys, tmp_path):
     assert "v_seq[1]" in capsys.readouterr().err
 
 
+def test_pqm_run_rejects_json_booleans(capsys, tmp_path):
+    # true/false load as bool, a subclass of int, but are not field elements
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"v_seq": [[1, 0], [True, False]]}))
+    assert cmd_dispatch(["pqm", "run", "--v-file", str(path), "--transcript", "1", "--q", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "v_seq[1]" in err and err.count("\n") == 1
+
+
+def test_scheme_rejects_json_booleans(capsys, tmp_path):
+    path = tmp_path / "scheme.json"
+    for key in ("servers", "schedule"):
+        obj = scheme_to_obj(gf7_scheme())
+        obj[key] = [True] + obj[key][1:]
+        path.write_text(json.dumps(obj))
+        assert cmd_dispatch(["qm", "verify", "--scheme", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{key}[0]" in err and err.count("\n") == 1
+
+
 def test_game_rejects_malformed_v_file(capsys, tmp_path):
     path = tmp_path / "v.json"
     for doc, where in (({"v_seq": [5]}, "v_seq[0]"), ({"v_seq": [[0], [7]]}, "v_seq[1]")):
@@ -240,6 +279,26 @@ def test_suite_small_and_q9_failure(capsys):
     assert code == 1
     bad = [c["name"] for c in report["checks"] if not c["pass"]]
     assert bad == ["residue-mix-gf9"]
+
+
+def test_suite_records_unexpected_exception_as_failed_check(capsys, monkeypatch):
+    def boom():
+        raise ZeroDivisionError("division by zero")
+
+    _, clean = run_json(capsys, ["suite", "--qmax", "8"])
+    monkeypatch.setattr(cli, "_sc_gf4_rejections", boom)
+    code, report = run_json(capsys, ["suite", "--qmax", "8"])
+    assert code == 1 and report["failed"] == 1
+    by_name = {c["name"]: c for c in report["checks"]}
+    assert by_name["regime-rejections-gf4"] == {
+        "name": "regime-rejections-gf4",
+        "pass": False,
+        "q": 4,
+        "error": "ZeroDivisionError: division by zero",
+    }
+    assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
+    rest = [c for c in report["checks"] if c["name"] != "regime-rejections-gf4"]
+    assert rest == [c for c in clean["checks"] if c["name"] != "regime-rejections-gf4"]
 
 
 def test_suite_repeat_runs_byte_identical(capsys):

@@ -1,9 +1,13 @@
 """Field construction, arithmetic axioms, trace, primitive elements, masks."""
 
+import random
+
 import pytest
 
 from qmlab.errors import DivisionByZero, UnsupportedField
 from qmlab.galois import (
+    _TABLE_LIMIT,
+    MAX_Q,
     FieldCtx,
     canonical_irreducible,
     field,
@@ -46,6 +50,50 @@ def test_bad_construction():
         field(12)
     with pytest.raises(ValueError):
         field(1)
+
+
+def test_oversized_fields_rejected_before_factoring():
+    # a prime this large would take far too long to trial-divide
+    big = 1_000_000_000_000_000_003
+    for make in (lambda: field(big), lambda: FieldCtx(big, 1), lambda: FieldCtx(2, 10**18)):
+        with pytest.raises(ValueError, match="exceeds the supported limit"):
+            make()
+    with pytest.raises(ValueError, match="exceeds the supported limit"):
+        FieldCtx(2, MAX_Q.bit_length())
+    assert field(MAX_Q).q == MAX_Q
+
+
+def _digitwise(p, e, a, b, sign):
+    """a + sign*b on base-p digit vectors, independent of FieldCtx."""
+    out, weight = 0, 1
+    for _ in range(e):
+        out += (a % p + sign * (b % p)) % p * weight
+        a, b, weight = a // p, b // p, weight * p
+    return out
+
+
+def test_add_sub_neg_match_digitwise_reference():
+    rng = random.Random(20261018)
+    exhaustive = [q for q in range(4, 244) if (pe := prime_power(q)) and pe[1] > 1]
+    sampled = [625, 729, 2187, 4096, 6561, 8192]
+    for q in exhaustive + sampled:
+        ctx = field(q)
+        p, e = ctx.p, ctx.e
+        # the path under test: XOR for p = 2, Zech tables for odd p up to the
+        # table limit, digit lists above it
+        assert (ctx._zech is not None) == (p > 2 and q <= _TABLE_LIMIT), q
+        if ctx._zech is not None:
+            assert len(ctx._zech) == q - 1 and ctx._zech[(q - 1) // 2] == -1
+        if q in exhaustive:
+            pairs = [(a, b) for a in range(q) for b in range(q)]
+        else:
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(20000)]
+            pairs += [(0, b) for b in range(0, q, 7)] + [(a, 0) for a in range(0, q, 7)]
+        for a, b in pairs:
+            assert ctx.add(a, b) == _digitwise(p, e, a, b, 1), (q, a, b)
+            assert ctx.sub(a, b) == _digitwise(p, e, a, b, -1), (q, a, b)
+        for a in {a for a, _ in pairs}:
+            assert ctx.neg(a) == _digitwise(p, e, 0, a, -1), (q, a)
 
 
 def test_prime_field_ops():
