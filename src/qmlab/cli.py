@@ -96,6 +96,8 @@ def _plain(obj):
     if isinstance(obj, (set, frozenset)):
         return [_plain(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is int or type(v) is str for v in obj):
+            return list(obj)
         return [_plain(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -486,6 +488,10 @@ def cmd_pqm_run(args) -> RunReport:
 
 def cmd_game(args) -> RunReport:
     ctx = _field_from_args(args)
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise PreconditionViolated(f"--max-rounds must be at least 0, got {args.max_rounds}")
+    if args.strategy == "replay" and not args.v_file:
+        raise PreconditionViolated("--strategy replay needs --v-file")
     v_seq = ()
     if args.v_file:
         file_ctx, v_seq = _read_v_file(args.v_file, ctx.q)

@@ -399,13 +399,12 @@ def mask_of(elems) -> int:
 
 
 def mask_elems(mask: int) -> tuple[int, ...]:
+    """The set bits of mask in increasing order, one step per set bit."""
     out = []
-    i = 0
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
 
 

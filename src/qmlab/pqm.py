@@ -6,6 +6,11 @@ set V and a bit: bit 0 removes the rescaled eliminator (1/sqrt(gamma))*V
 from every class, bit 1 removes the rescaled complement of V in the units.
 Success means at most one class is left nonempty.
 
+A round is one pass over the survivors that yields both branches: point x
+of class gamma lies in the rescaled V iff sqrt(gamma)*x is in V, and in the
+rescaled units-complement iff sqrt(gamma)*x is a unit outside V.  Its cost
+follows the surviving points, not q times the number of classes.
+
 A bit-leakage scheme in the restricted regime translates into such an
 eliminator sequence (one per query), and the adversarial game plays the
 same pruning loop with the bits chosen by an adversary who always keeps the
@@ -19,7 +24,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from .galois import FieldCtx, mask_complement, mask_of
+from .galois import FieldCtx, mask_complement, mask_elems, mask_of
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
 from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
 
@@ -44,30 +49,49 @@ def initial_state(ctx: FieldCtx) -> PqmState:
     return PqmState({g: mask0 for g in omega_set(ctx).elements})
 
 
+def _eliminator(ctx: FieldCtx, v_set) -> frozenset:
+    v_set = frozenset(v_set)
+    if not all(0 <= x < ctx.q for x in v_set):
+        raise PreconditionViolated("eliminator entries must be field elements")
+    return v_set
+
+
+def _branches(ctx: FieldCtx, sqrt_system: SqrtSystem, classes: dict, v_set) -> tuple:
+    """The classes after bit 0 and after bit 1, from one walk over the
+    survivors: y = sqrt(gamma)*x in V drops x on bit 0, a unit y outside V
+    drops it on bit 1, and y = 0 (x = 0 outside V) stays on both."""
+    mul = ctx.mul
+    kept0, kept1 = {}, {}
+    for g, mask in classes.items():
+        root = sqrt_system.sqrt(g)
+        drop0 = drop1 = 0
+        for x in mask_elems(mask):
+            y = mul(root, x)
+            if y in v_set:
+                drop0 |= 1 << x
+            elif y != 0:
+                drop1 |= 1 << x
+        kept0[g] = mask & ~drop0
+        kept1[g] = mask & ~drop1
+        assert (kept0[g] | kept1[g]) & ~mask == 0  # shrink only
+    return kept0, kept1
+
+
+def _advance(state: PqmState, classes: dict) -> PqmState:
+    out = PqmState(classes, state.rounds + 1)
+    out.history = state.history + (out.total(),)
+    return out
+
+
 def pqm_round(
     ctx: FieldCtx, sqrt_system: SqrtSystem, state: PqmState, v_set, bit: int
 ) -> PqmState:
     """One pruning round: drop the rescaled V side (bit 0) or the rescaled
     units-complement of V (bit 1, so 0 is never dropped) from every class."""
-    v_set = frozenset(v_set)
-    if not all(0 <= x < ctx.q for x in v_set):
-        raise PreconditionViolated("eliminator entries must be field elements")
+    v_set = _eliminator(ctx, v_set)
     if bit not in (0, 1):
         raise PreconditionViolated("bit must be 0 or 1")
-    if bit == 0:
-        removed = v_set
-    else:
-        removed = frozenset(ctx.units) - v_set
-    classes = {}
-    for g, mask in state.classes.items():
-        inv_root = ctx.inv(sqrt_system.sqrt(g))
-        drop = mask_of(ctx.mul(inv_root, x) for x in removed)
-        kept = mask & ~drop
-        assert kept & ~mask == 0  # shrink only
-        classes[g] = kept
-    out = PqmState(classes, state.rounds + 1)
-    out.history = state.history + (out.total(),)
-    return out
+    return _advance(state, _branches(ctx, sqrt_system, state.classes, v_set)[bit])
 
 
 def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
@@ -197,15 +221,14 @@ def _alice(config: GameConfig, sqrt_system: SqrtSystem):
     if config.alice_strategy == "greedy-halving":
 
         def emit(state: PqmState, _round: int):
-            # weight of u = surviving points the bit-0 branch would drop;
+            # weight of u = surviving points the bit-0 branch would drop,
+            # i.e. survivors x of a class gamma with sqrt(gamma)*x = u;
             # balance the two branch weights by largest-first assignment
-            weight = {}
-            for u in range(ctx.q):
-                w = 0
-                for g, mask in state.classes.items():
-                    x = ctx.mul(ctx.inv(sqrt_system.sqrt(g)), u)
-                    w += (mask >> x) & 1
-                weight[u] = w
+            weight = [0] * ctx.q
+            for g, mask in state.classes.items():
+                root = sqrt_system.sqrt(g)
+                for x in mask_elems(mask):
+                    weight[ctx.mul(root, x)] += 1
             side_v, side_rest = 0, 0
             v = set()
             for u in sorted(range(ctx.q), key=lambda u: (-weight[u], u)):
@@ -238,9 +261,10 @@ def _alice(config: GameConfig, sqrt_system: SqrtSystem):
 
 def play_game(config: GameConfig) -> dict:
     """Alice emits eliminators, the adversary always answers with the bit
-    keeping the most survivors (ties: bit 0, logged).  Returns the full
-    game record; rounds is math.inf when the cap or an exhausted replay
-    sequence stops the game first."""
+    keeping the most survivors (ties: bit 0, logged).  Each round is one
+    pass over the survivors that sizes both branches and advances to the
+    chosen one.  Returns the full game record; rounds is math.inf when the
+    cap or an exhausted replay sequence stops the game first."""
     ctx = config.ctx
     ss = build_sqrt_system(ctx)
     emit = _alice(config, ss)
@@ -252,13 +276,12 @@ def play_game(config: GameConfig) -> dict:
         v_set = emit(state, played)
         if v_set is None:
             break
-        branches = [
-            pqm_round(ctx, ss, state, v_set, bit).total() for bit in (0, 1)
-        ]
-        bit = 0 if branches[0] >= branches[1] else 1
-        if branches[0] == branches[1]:
+        branches = _branches(ctx, ss, state.classes, _eliminator(ctx, v_set))
+        sizes = [sum(m.bit_count() for m in b.values()) for b in branches]
+        bit = 0 if sizes[0] >= sizes[1] else 1
+        if sizes[0] == sizes[1]:
             ties.append(played)
-        state = pqm_round(ctx, ss, state, v_set, bit)
+        state = _advance(state, branches[bit])
         played += 1
     finished = len(state.nonempty()) <= 1
     return {

@@ -30,6 +30,9 @@ def test_canonical_json_normalization():
     assert canonical_json(blob) == '{"a":0.123457,"b":null,"s":[1,3],"t":[1,2]}'
     with pytest.raises(TypeError):
         canonical_json(object())
+    # lists mixing plain values with ones that need rewriting keep the full path
+    mixed = {"m": [1, True, 0.5, "x"], "n": [(2, "a"), [float("nan")], {5, 4}]}
+    assert canonical_json(mixed) == '{"m":[1,true,0.5,"x"],"n":[[2,"a"],[null],[4,5]]}'
 
 
 def test_exit_code_usage_error(capsys):
@@ -253,6 +256,21 @@ def test_game_rejects_malformed_v_file(capsys, tmp_path):
     argv = ["game", "--q", "7", "--strategy", "replay", "--v-file", str(path), "--json"]
     code, out = run_cli(capsys, argv)
     assert code in (0, 1) and json.loads(out)["rounds_played"] <= 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--max-rounds", "-3"], "--max-rounds"),
+        (["--strategy", "replay"], "--v-file"),
+    ],
+)
+def test_game_rejects_flags_that_would_play_no_rounds(capsys, argv, flag):
+    assert cmd_dispatch(["game", "--q", "7", *argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
 
 def test_game_meets_floor(capsys):

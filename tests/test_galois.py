@@ -233,6 +233,11 @@ def test_masks_roundtrip():
     m = mask_of({0, 2, 5})
     assert m == 0b0100101
     assert mask_elems(m) == (0, 2, 5)
+    assert mask_elems(0) == ()
+    rng = random.Random(5)
+    for width in (1, 64, 65, 243, 1000):
+        wide = rng.getrandbits(width) | (1 << (width - 1))
+        assert mask_elems(wide) == tuple(i for i in range(width) if (wide >> i) & 1)
     assert mask_complement(m, q) == mask_of({1, 3, 4, 6})
     assert mask_to_hex(m, q) == "25"
     assert mask_from_hex("25", q) == m

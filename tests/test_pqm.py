@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -80,6 +81,107 @@ def test_round_shrinks_and_bit1_never_drops_zero():
             assert nxt.classes[g] & ~state.classes[g] == 0
             assert nxt.classes[g] & 1  # 0 survives every bit-1 round
         state = nxt
+
+
+REFERENCE_Q = (7, 8, 9, 13, 16, 25, 27, 32, 49)
+
+
+def reference_round(ctx, ss, classes, v_set, bit):
+    """The scaled-eliminator formula: drop (1/sqrt(g))*r for every removed r,
+    where bit 0 removes V and bit 1 removes the units outside V."""
+    removed = v_set if bit == 0 else frozenset(ctx.units) - frozenset(v_set)
+    out = {}
+    for g, mask in classes.items():
+        inv_root = ctx.inv(ss.sqrt(g))
+        out[g] = mask & ~mask_of(ctx.mul(inv_root, r) for r in removed)
+    return out
+
+
+def test_round_matches_scaled_eliminator_reference():
+    for q in REFERENCE_Q:
+        ctx = field(q)
+        ss = build_sqrt_system(ctx)
+        rng = random.Random(q)
+        start = initial_state(ctx)
+        start.history = (start.total(),)
+        # arbitrary survivor masks over the whole field; 0 survives in the
+        # first class and not in the second
+        masks = {g: rng.getrandbits(q) for g in start.classes}
+        first, second = sorted(masks)[:2]
+        masks[first] |= 1
+        masks[second] &= ~1
+        scattered = PqmState(masks, rounds=2, history=(9, 5))
+        v_sets = [frozenset(), frozenset(range(q)), frozenset(ctx.units)]
+        for _ in range(4):
+            v = frozenset(u for u in range(q) if rng.getrandbits(1))
+            v_sets += [v | {0}, v - {0}]
+        for state in (start, scattered):
+            for v_set in v_sets:
+                for bit in (0, 1):
+                    got = pqm_round(ctx, ss, state, v_set, bit)
+                    want = reference_round(ctx, ss, state.classes, v_set, bit)
+                    assert got.classes == want, (q, sorted(v_set), bit)
+                    assert got.rounds == state.rounds + 1
+                    assert got.history == state.history + (got.total(),)
+
+
+def reference_game(ctx, strategy, seed):
+    """The game loop as three scaled-eliminator rounds per round (both branch
+    sizes, then the chosen branch) with greedy weights summed over (u, class)."""
+    ss = build_sqrt_system(ctx)
+    rng = random.Random(seed)
+    classes = dict(initial_state(ctx).classes)
+    history = [sum(m.bit_count() for m in classes.values())]
+    ties = []
+    played = 0
+    cap = 4 * ctx.e * (ctx.p - 1).bit_length()
+    while sum(1 for m in classes.values() if m) > 1 and played < cap:
+        if strategy == "greedy-halving":
+            weight = {}
+            for u in range(ctx.q):
+                weight[u] = sum(
+                    (mask >> ctx.mul(ctx.inv(ss.sqrt(g)), u)) & 1
+                    for g, mask in classes.items()
+                )
+            side_v, side_rest, v_set = 0, 0, set()
+            for u in sorted(range(ctx.q), key=lambda u: (-weight[u], u)):
+                if side_v <= side_rest:
+                    v_set.add(u)
+                    side_v += weight[u]
+                elif u != 0:
+                    side_rest += weight[u]
+        else:
+            v_set = {u for u in range(ctx.q) if rng.getrandbits(1)}
+        sizes = [
+            sum(m.bit_count() for m in reference_round(ctx, ss, classes, v_set, b).values())
+            for b in (0, 1)
+        ]
+        bit = 0 if sizes[0] >= sizes[1] else 1
+        if sizes[0] == sizes[1]:
+            ties.append(played)
+        classes = reference_round(ctx, ss, classes, v_set, bit)
+        history.append(sum(m.bit_count() for m in classes.values()))
+        played += 1
+    alive = [g for g, m in sorted(classes.items()) if m]
+    return {
+        "q": ctx.q,
+        "strategy": strategy,
+        "seed": seed,
+        "rounds": played if len(alive) <= 1 else math.inf,
+        "rounds_played": played,
+        "survivors": history,
+        "ties": ties,
+        "classes_left": alive,
+    }
+
+
+def test_game_matches_three_call_reference():
+    for q in REFERENCE_Q:
+        ctx = field(q)
+        runs = [("greedy-halving", 0)] + [("random-set", s) for s in range(5)]
+        for strategy, seed in runs:
+            record = play_game(GameConfig(ctx, strategy, seed=seed))
+            assert record == reference_game(ctx, strategy, seed), (q, strategy, seed)
 
 
 def test_run_pqm_trivial_cases():
