@@ -9,8 +9,11 @@ canonical: sorted keys, compact separators, floats rounded to six decimals,
 non-finite numbers as null, so identical invocations give byte-identical
 reports; wall time is printed in text mode only for the same reason.
 
-`suite` composes the per-module batteries over every supported field up to
---qmax.
+`suite` runs one ordered table of (name, q, builder) rows: the per-field
+rows of every supported q <= --qmax, picked by regime, then each fixed row
+whose q <= --qmax.  A builder returns (ok, fields); the runner stamps name,
+pass and q on the check and records a raising builder as a failed check
+with its `error`.  The commands reuse the builders' helpers.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
 from .errors import NoPairExists, PreconditionViolated, QmLabError, SchemaError
@@ -116,6 +121,12 @@ def _check(name: str, ok, **extra) -> dict:
     out = {"name": name, "pass": bool(ok)}
     out.update(extra)
     return out
+
+
+def _failing(bad, **fields) -> tuple:
+    """(ok, fields) for a check that passes when `bad` is empty; a nonempty
+    `bad` is added to the fields as the counterexample."""
+    return not bad, {**fields, "counterexample": bad} if bad else fields
 
 
 @dataclass
@@ -311,6 +322,39 @@ def _query_space(ctx: FieldCtx) -> list:
     return [TraceQuery(a, g) for a in ctx.units for g in ctx.elements]
 
 
+def _sampled_queries(ctx: FieldCtx, t: int, count: int, seed: int):
+    """Yield `count` seeded tuples of t trace probes, each at a random unit point."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(TraceQuery(rng.randrange(1, ctx.q), rng.randrange(ctx.q)) for _ in range(t))
+
+
+def _union_sizes(ctx: FieldCtx, ss, pair) -> tuple:
+    """(expected size, {g: union size} over the restricted set, the sizes
+    that differ keyed by str(g))."""
+    expected = ctx.q - 3 if ctx.p > 2 else ctx.q - 4
+    sizes = {g: scaled_pair_union_size(ctx, ss, pair, g) for g in omega_set(ctx).elements}
+    return expected, sizes, {str(g): n for g, n in sorted(sizes.items()) if n != expected}
+
+
+def _residue_witness(ctx: FieldCtx, b11_star) -> dict:
+    """B_1(1)* beside the nonzero squares: why no pair or no mix exists."""
+    squares = sorted(x for x in ctx.units if quadratic_character(ctx, x) == 1)
+    return {"b11_star": sorted(b11_star), "squares": squares}
+
+
+def _gf7_five_bits() -> tuple:
+    """(verify_gf7() and a (5, 6) download cost, the cost as report fields)."""
+    bits, naive = download_cost()
+    return verify_gf7() and (bits, naive) == (5, 6), {"bits": bits, "naive_bits": naive}
+
+
+def _searched_gf7():
+    """(t, scheme) of the minimum-bandwidth MQM search over GF(7), or None."""
+    ctx = field(7)
+    return search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -336,19 +380,12 @@ def cmd_residues(args) -> RunReport:
     try:
         pair = scaled_pair(ctx)
     except NoPairExists as exc:
-        squares = sorted(x for x in ctx.units if quadratic_character(ctx, x) == 1)
         payload.update({"pair": None, "sqrt": None, "union_sizes": None})
-        fail = _check(
-            "scaled-pair-exists",
-            False,
-            note=str(exc),
-            counterexample={"b11_star": sorted(b11(ctx) - {0}), "squares": squares},
-        )
+        witness = _residue_witness(ctx, b11(ctx) - {0})
+        fail = _check("scaled-pair-exists", False, note=str(exc), counterexample=witness)
         return RunReport("residues", payload, [fail])
     ss = build_sqrt_system(ctx)
-    expected = ctx.q - 3 if ctx.p > 2 else ctx.q - 4
-    sizes = {g: scaled_pair_union_size(ctx, ss, pair, g) for g in om.elements}
-    bad = {str(g): n for g, n in sorted(sizes.items()) if n != expected}
+    expected, sizes, bad = _union_sizes(ctx, ss, pair)
     payload.update(
         {
             "pair": [pair.a, pair.b],
@@ -357,9 +394,10 @@ def cmd_residues(args) -> RunReport:
             "expected_union": expected,
         }
     )
+    ok, extra = _failing(bad)
     checks = [
         _check("scaled-pair-exists", True, pair=[pair.a, pair.b]),
-        _check("union-sizes", not bad, **({"counterexample": bad} if bad else {})),
+        _check("union-sizes", ok, **extra),
     ]
     return RunReport("residues", payload, checks)
 
@@ -413,17 +451,11 @@ def cmd_qm_verify(args) -> RunReport:
     else:
         om = omega_set(ctx)
         domain = om.elements
-        off = [a for a in scheme.schedule if a not in om]
-        checks.append(
-            _check(
-                "schedule-restricted", not off, **({"counterexample": off} if off else {})
-            )
-        )
+        ok, extra = _failing([a for a in scheme.schedule if a not in om])
+        checks.append(_check("schedule-restricted", ok, **extra))
     witness = collision_witness(scheme, domain)
-    entry = _check("transcript-separates-products", witness is None, domain=args.domain)
-    if witness is not None:
-        entry["counterexample"] = witness._asdict()
-    checks.append(entry)
+    ok, extra = _failing(witness and witness._asdict(), domain=args.domain)
+    checks.append(_check("transcript-separates-products", ok, **extra))
     payload = {
         "field": ctx.descriptor(),
         "q": ctx.q,
@@ -480,10 +512,8 @@ def cmd_pqm_run(args) -> RunReport:
         "survivors": list(state.history),
         "classes_left": alive,
     }
-    entry = _check("at-most-one-class-left", outcome == SUCCESS)
-    if outcome != SUCCESS:
-        entry["counterexample"] = {"classes_left": alive}
-    return RunReport("pqm run", payload, [entry])
+    ok, extra = _failing(None if outcome == SUCCESS else {"classes_left": alive})
+    return RunReport("pqm run", payload, [_check("at-most-one-class-left", ok, **extra)])
 
 
 def cmd_game(args) -> RunReport:
@@ -492,6 +522,8 @@ def cmd_game(args) -> RunReport:
         raise PreconditionViolated(f"--max-rounds must be at least 0, got {args.max_rounds}")
     if args.strategy == "replay" and not args.v_file:
         raise PreconditionViolated("--strategy replay needs --v-file")
+    if args.v_file and args.strategy != "replay":
+        raise PreconditionViolated("--v-file needs --strategy replay")
     v_seq = ()
     if args.v_file:
         file_ctx, v_seq = _read_v_file(args.v_file, ctx.q)
@@ -544,14 +576,9 @@ def cmd_linleak_check(args) -> RunReport:
         tuples = itertools.product(space, repeat=t)
         mode = "exhaustive"
     else:
-        rng = random.Random(args.seed)
-        tuples = [
-            tuple(
-                TraceQuery(rng.randrange(1, ctx.q), rng.randrange(ctx.q))
-                for _ in range(t)
-            )
-            for _ in range(args.samples)
-        ]
+        if args.samples < 1:
+            raise PreconditionViolated(f"--samples must be at least 1, got {args.samples}")
+        tuples = _sampled_queries(ctx, t, args.samples, args.seed)
         mode = "sampled"
     count = verified = 0
     witness = failing = None
@@ -580,35 +607,22 @@ def cmd_linleak_check(args) -> RunReport:
         "verified": verified,
         "witness": witness,
     }
-    entry = _check("all-collisions-verify", verified == count, count=count)
-    if failing is not None:
-        entry["counterexample"] = failing
-    return RunReport("linleak check", payload, [entry])
+    ok, extra = _failing(failing, count=count)  # ok exactly when verified == count
+    return RunReport("linleak check", payload, [_check("all-collisions-verify", ok, **extra)])
 
 
 def cmd_gf7_verify(args) -> RunReport:
     scheme = gf7_scheme()
-    bits, naive = download_cost()
-    ok = verify_gf7()
-    payload = {
-        "field": scheme.ctx.descriptor(),
-        "q": 7,
-        "bits": bits,
-        "naive_bits": naive,
-        "scheme": scheme_to_obj(scheme),
-    }
-    checks = [
-        _check("five-bit-reconstruction", ok and (bits, naive) == (5, 6),
-               bits=bits, naive_bits=naive)
-    ]
-    return RunReport("gf7 verify", payload, checks)
+    ok, cost = _gf7_five_bits()
+    payload = {"field": scheme.ctx.descriptor(), "q": 7, **cost, "scheme": scheme_to_obj(scheme)}
+    return RunReport("gf7 verify", payload, [_check("five-bit-reconstruction", ok, **cost)])
 
 
 def cmd_gf7_table(args) -> RunReport:
     ctx = field(7)
     table = figure1_table()
     cells = {(a, g): table[a][g] for a in ctx.elements for g in ctx.elements}
-    bad = _figure1_mismatches(ctx, table)
+    ok, extra = _failing(_figure1_mismatches(ctx, table))
     payload = {
         "field": ctx.descriptor(),
         "q": 7,
@@ -617,13 +631,7 @@ def cmd_gf7_table(args) -> RunReport:
             for a in ctx.elements
         },
     }
-    checks = [
-        _check(
-            "matches-computed-images",
-            not bad,
-            **({"counterexample": bad} if bad else {}),
-        )
-    ]
+    checks = [_check("matches-computed-images", ok, **extra)]
     return RunReport("gf7 table", payload, checks, text_body=_grid_lines(ctx, cells))
 
 
@@ -644,103 +652,71 @@ def cmd_gf7_leak(args) -> RunReport:
 # ---------------------------------------------------------------- suite
 
 
-def _guarded(name: str, q: int, fn):
-    def run() -> dict:
-        try:
-            return fn()
-        except Exception as exc:  # one broken check must not abort the battery
-            return _check(name, False, q=q, error=f"{type(exc).__name__}: {exc}")
+class _Row(NamedTuple):
+    """One suite check: its name, the field it covers (a row runs when
+    q <= --qmax) and a builder returning (ok, fields)."""
 
-    return run
+    name: str
+    q: int
+    build: Callable[[], tuple]
 
 
-def _sc_union_sizes(q: int) -> dict:
+def _run_row(row: _Row) -> dict:
+    try:
+        ok, fields = row.build()
+    except Exception as exc:  # one broken check must not abort the battery
+        ok, fields = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return _check(row.name, ok, **{"q": row.q, **fields})
+
+
+def _sc_union_sizes(q: int) -> tuple:
     ctx = field(q)
     ss = build_sqrt_system(ctx)
-    pair = scaled_pair(ctx, ss)
-    expected = q - 3 if ctx.p > 2 else q - 4
-    bad = {}
-    for d in omega_set(ctx).elements:
-        n = scaled_pair_union_size(ctx, ss, pair, d)
-        if n != expected:
-            bad[str(d)] = n
-    return _check(
-        f"union-sizes-gf{q}",
-        not bad,
-        q=q,
-        expected=expected,
-        **({"counterexample": bad} if bad else {}),
-    )
+    expected, _sizes, bad = _union_sizes(ctx, ss, scaled_pair(ctx, ss))
+    return _failing(bad, expected=expected)
 
 
-def _sc_scalar_evolution(q: int) -> dict:
+def _sc_scalar_evolution(q: int) -> tuple:
     ctx = field(q)
     ss = build_sqrt_system(ctx)
     om = omega_set(ctx)
-    bad = None
     for g in om.elements:
         for a in om.elements:
             if not scalar_evolution(ctx, ss, g, a, 1, 1):
-                bad = {"gamma": g, "alpha": a}
-                break
-        if bad:
-            break
-    return _check(
-        f"scalar-evolution-gf{q}",
-        bad is None,
-        q=q,
-        **({"counterexample": bad} if bad else {}),
-    )
+                return _failing({"gamma": g, "alpha": a})
+    return True, {}
 
 
-def _sc_weil(q: int) -> dict:
+def _sc_weil(q: int) -> tuple:
     rep = complete_char_sum(field(q), (0, 1, 0, 1))
-    ok = rep.square_free and rep.within_bound
-    return _check(f"weil-bound-gf{q}", ok, q=q, value=rep.value, bound=rep.bound)
+    return rep.square_free and rep.within_bound, {"value": rep.value, "bound": rep.bound}
 
 
-def _sc_residue_mix(q: int) -> dict:
+def _sc_residue_mix(q: int) -> tuple:
     ctx = field(q)
     b11_star = b11(ctx) - {0}
     has_res = any(quadratic_character(ctx, y) == 1 for y in b11_star)
     has_non = any(quadratic_character(ctx, y) == -1 for y in b11_star)
-    ok = has_res and has_non
-    extra = {}
-    if not ok:
-        extra["counterexample"] = {
-            "b11_star": sorted(b11_star),
-            "squares": sorted(
-                x for x in ctx.units if quadratic_character(ctx, x) == 1
-            ),
-        }
-    return _check(f"residue-mix-gf{q}", ok, q=q, **extra)
+    return _failing(None if has_res and has_non else _residue_witness(ctx, b11_star))
 
 
-def _sc_artin_schreier(q: int) -> dict:
+def _sc_artin_schreier(q: int) -> tuple:
     ctx = field(q)
-    bad = None
     for c in ctx.elements:
         solvable, root = artin_schreier_solvable(ctx, c)
         roots = [y for y in ctx.elements if ctx.add(ctx.add(ctx.mul(y, y), y), c) == 0]
         if solvable != (ctx.trace(c) == 0) or solvable != bool(roots):
-            bad = {"c": c, "trace": ctx.trace(c), "roots": roots}
-            break
+            return _failing({"c": c, "trace": ctx.trace(c), "roots": roots})
         if solvable and root not in roots:
-            bad = {"c": c, "root": root}
-            break
-    return _check(
-        f"artin-schreier-gf{q}",
-        bad is None,
-        q=q,
-        **({"counterexample": bad} if bad else {}),
-    )
+            return _failing({"c": c, "root": root})
+    return True, {}
 
 
-def _sc_trace_kernel(q: int) -> dict:
-    return _check(f"trace-kernel-gf{q}", b11_trace_kernel_check(field(q)), q=q)
+def _sc_trace_kernel(q: int) -> tuple:
+    return b11_trace_kernel_check(field(q)), {}
 
 
-def _sc_gf4_rejections() -> dict:
+def _sc_gf4_rejections() -> tuple:
     ctx = field(4)
     leaked = []
     for name, fn in (
@@ -754,28 +730,20 @@ def _sc_gf4_rejections() -> dict:
             leaked.append(name)
         except UnsupportedField:
             pass
-    return _check(
-        "regime-rejections-gf4",
-        not leaked,
-        q=4,
-        **({"counterexample": leaked} if leaked else {}),
-    )
+    return _failing(leaked)
 
 
-def _sc_gf5_pair_absent() -> dict:
-    ctx = field(5)
+def _sc_gf5_pair_absent() -> tuple:
     try:
-        scaled_pair(ctx)
+        scaled_pair(field(5))
         refused = False
     except NoPairExists:
         refused = True
-    bset = b11(ctx)
-    no_square = not any(quadratic_character(ctx, y) == 1 for y in bset - {0})
-    ok = refused and bset == frozenset({0, 2, 3}) and no_square
-    return _check("pair-absent-gf5", ok, q=5, b11=sorted(bset))
+    b11_ok, _ = _sc_b11_gf5()  # B_1(1) = {0, 2, 3} holds no nonzero square
+    return refused and b11_ok, {"b11": sorted(b11(field(5)))}
 
 
-def _sc_character_spots() -> dict:
+def _sc_character_spots() -> tuple:
     ctx3, ctx5, ctx7 = field(3), field(5), field(7)
     qr3 = {x for x in ctx3.units if quadratic_character(ctx3, x) == 1}
     qr5 = {x for x in ctx5.units if quadratic_character(ctx5, x) == 1}
@@ -785,50 +753,49 @@ def _sc_character_spots() -> dict:
         and quadratic_character(ctx7, 0) == 0
         and minus_one_is_residue(ctx5)
     )
-    return _check("character-table-spots", ok, q=7)
+    return ok, {}
 
 
-def _sc_scaled_pair_gf3() -> dict:
+def _sc_scaled_pair_gf3() -> tuple:
     pair = scaled_pair(field(3))
-    return _check("scaled-pair-gf3", (pair.a, pair.b) == (1, 2), q=3, pair=[pair.a, pair.b])
+    return (pair.a, pair.b) == (1, 2), {"pair": [pair.a, pair.b]}
 
 
-def _sc_b11_gf3() -> dict:
-    return _check("b11-gf3", b11(field(3)) == frozenset({1, 2}), q=3)
+def _sc_b11_gf3() -> tuple:
+    return b11(field(3)) == frozenset({1, 2}), {}
 
 
-def _sc_b11_gf8() -> dict:
+def _sc_b11_gf8() -> tuple:
     got = b11(field(8))
-    return _check("b11-gf8", len(got) == 4, q=8, size=len(got))
+    return len(got) == 4, {"size": len(got)}
 
 
-def _sc_binary_sqrt_gf8() -> dict:
+def _sc_binary_sqrt_gf8() -> tuple:
     ctx = field(8)
     ss = build_sqrt_system(ctx)
     w = omega_set(ctx).omega
     z = find_primitive_zero_inv_trace(ctx)
     primitive = len({ctx.pow(z, n) for n in range(1, ctx.q)}) == ctx.q - 1
     ok = ss.sqrt(ctx.mul(w, w)) == w and primitive and ctx.trace(ctx.inv(z)) == 0
-    return _check("binary-sqrt-canonical-gf8", ok, q=8, omega=w)
+    return ok, {"omega": w}
 
 
-def _sc_gf7_scheme() -> dict:
+def _sc_gf7_scheme() -> tuple:
     scheme = gf7_scheme()
-    bits, naive = download_cost()
+    ok, cost = _gf7_five_bits()
     sets = [set(mask_elems(m)) for m in scheme.sets]
     ok = (
-        verify_gf7()
-        and (bits, naive) == (5, 6)
+        ok
         and sets == [{0, 2, 5}, {0, 1, 6}, {0, 3, 4}, {0, 2, 5}, {0, 1, 6}]
         and scheme.schedule == tuple(range(5))
         and leak_bit(scheme.sets[1], 3) == 1
         and transcript(scheme, (1, 1)) == (1, 1, 0, 1, 1)
         and verify_scheme(scheme, scheme.ctx.units)
     )
-    return _check("gf7-verify-five-bits", ok, q=7, bits=bits, naive_bits=naive)
+    return ok, cost
 
 
-def _sc_gf7_truncations() -> dict:
+def _sc_gf7_truncations() -> tuple:
     scheme = gf7_scheme()
     surviving = []
     for z in range(scheme.t):
@@ -843,18 +810,12 @@ def _sc_gf7_truncations() -> dict:
         )
         if verify_scheme(short, scheme.ctx.units):
             surviving.append(z)
-    return _check(
-        "gf7-truncations-fail",
-        not surviving,
-        q=7,
-        **({"counterexample": surviving} if surviving else {}),
-    )
+    return _failing(surviving)
 
 
-def _sc_gf7_figure1() -> dict:
-    ctx = field(7)
+def _sc_gf7_figure1() -> tuple:
     table = figure1_table()
-    bad = _figure1_mismatches(ctx, table)
+    ok, fields = _failing(_figure1_mismatches(field(7), table))
     spots = (
         table[1][4] == {2, 3, 4, 5}
         and table[2][3] == {0, 2, 5}
@@ -862,51 +823,43 @@ def _sc_gf7_figure1() -> dict:
         and table[0][6] == set(range(1, 7))
         and all(table[a][0] == set(range(7)) for a in range(7))
     )
-    return _check(
-        "gf7-figure1-golden",
-        not bad and spots,
-        q=7,
-        **({"counterexample": bad} if bad else {}),
-    )
+    return ok and spots, fields
 
 
-def _sc_gf7_leak() -> dict:
+def _sc_gf7_leak() -> tuple:
     got = one_bit_leak(1, {0, 1, 6})
     quiet = one_bit_leak(0, set(range(7)))[0]
     ok = got[0] == frozenset({4}) and got[1] == frozenset({5}) and quiet == frozenset()
-    return _check(
-        "gf7-one-bit-leak", ok, q=7,
-        eliminated={"0": sorted(got[0]), "1": sorted(got[1])},
-    )
+    return ok, {"eliminated": {"0": sorted(got[0]), "1": sorted(got[1])}}
 
 
-def _sc_gf7_bucket_lines() -> dict:
+def _sc_gf7_bucket_lines() -> tuple:
     ctx = field(7)
     lines = bucket(ctx, 1).lines
-    ok = len(lines) == 6 and all(l.m == ctx.inv(l.b) for l in lines)
-    return _check("gf7-product-one-lines", ok, q=7, count=len(lines))
+    return len(lines) == 6 and all(l.m == ctx.inv(l.b) for l in lines), {"count": len(lines)}
 
 
-def _sc_b11_gf5() -> dict:
+def _sc_b11_gf5() -> tuple:
     ctx = field(5)
     got = b11(ctx)
     disjoint = not any(quadratic_character(ctx, y) == 1 for y in got - {0})
-    return _check("b11-gf5", got == frozenset({0, 2, 3}) and disjoint, q=5)
+    return got == frozenset({0, 2, 3}) and disjoint, {}
 
 
-def _sc_scheme_roundtrip() -> dict:
+def _sc_scheme_roundtrip() -> tuple:
     text = canonical_json(scheme_to_obj(gf7_scheme()))
     again = canonical_json(scheme_to_obj(scheme_from_obj(json.loads(text))))
-    return _check("scheme-json-roundtrip", text == again, q=7)
+    return text == again, {}
 
 
-def _sc_off_schedule() -> dict:
+def _sc_off_schedule() -> tuple:
     ctx = field(7)
     scheme = LeakageScheme(ctx, 2, 0, 1, frozenset({3}), (3,), (mask_of({0, 1}),))
-    return _check("off-schedule-rejected-gf7", mqm_check(scheme) is False, q=7)
+    return mqm_check(scheme) is False, {}
 
 
-def _sc_bound_forms(qmax: int) -> dict:
+def _sc_bound_forms(qmax: int) -> tuple:
+    """Reports q = min(qmax, 16), the largest field it compares, not its row's q."""
     expect_real = {4: -2.0, 5: 1.0}
     expect_int = {7: 3, 8: 2, 9: 4, 11: 4, 13: 5, 16: 4}
     bad = {}
@@ -920,12 +873,7 @@ def _sc_bound_forms(qmax: int) -> dict:
             got = bandwidth_bound(field(q)).integer_round_bound
             if got != want:
                 bad[f"integer q={q}"] = got
-    return _check(
-        "bound-closed-forms",
-        not bad,
-        q=min(qmax, 16),
-        **({"counterexample": bad} if bad else {}),
-    )
+    return _failing(bad, q=min(qmax, 16))
 
 
 def _replay_battery(scheme: LeakageScheme) -> tuple:
@@ -945,27 +893,23 @@ def _replay_battery(scheme: LeakageScheme) -> tuple:
     return ok, count, worst
 
 
-def _sc_pipeline_gf7() -> dict:
-    ctx = field(7)
-    floor = bandwidth_bound(ctx).integer_round_bound
-    got = search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
+def _sc_pipeline_gf7() -> tuple:
+    floor = bandwidth_bound(field(7)).integer_round_bound
+    got = _searched_gf7()
     if got is None:
-        return _check("pipeline-gf7", False, q=7, error="search found nothing")
+        return False, {"error": "search found nothing"}
     t, scheme = got
     replays_ok, count, worst = _replay_battery(scheme)
     ok = t == 3 and t >= floor and replays_ok and count == 18 and worst <= 2
-    return _check(
-        "pipeline-gf7", ok, q=7, t=t, floor=floor, replays=count, max_class=worst
-    )
+    return ok, {"t": t, "floor": floor, "replays": count, "max_class": worst}
 
 
-def _sc_appendix_search_gf7() -> dict:
+def _sc_appendix_search_gf7() -> tuple:
     got = search_min_bandwidth(field(7), APPENDIX, frozenset(range(5)))
-    ok = got is not None and got[0] <= 5
-    return _check("appendix-search-gf7", ok, q=7, t=None if got is None else got[0])
+    return got is not None and got[0] <= 5, {"t": None if got is None else got[0]}
 
 
-def _sc_replay_gf8() -> dict:
+def _sc_replay_gf8() -> tuple:
     ctx = field(8)
     om = omega_set(ctx)
     scheme = LeakageScheme(
@@ -973,126 +917,115 @@ def _sc_replay_gf8() -> dict:
     )
     replays_ok, count, worst = _replay_battery(scheme)
     ok = mqm_check(scheme) and replays_ok and count == 21 and worst <= 3
-    return _check("replay-size-gf8", ok, q=8, replays=count, max_class=worst)
+    return ok, {"replays": count, "max_class": worst}
 
 
-def _sc_game_floor(q: int, seed: int) -> dict:
+def _sc_game_floor(q: int, seed: int) -> tuple:
     ctx = field(q)
     floor = bandwidth_bound(ctx).integer_round_bound
     rounds = {}
     for strategy in ("greedy-halving", "random-set"):
         rounds[strategy] = adversarial_game(GameConfig(ctx, strategy, seed=seed))
     if q == 7:
-        _, scheme = search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
+        _, scheme = _searched_gf7()
         rounds["replay"] = adversarial_game(
             GameConfig(ctx, "replay", seed=seed, v_seq=mqm_to_pqm(scheme))
         )
-    ok = all(r >= floor for r in rounds.values())
-    return _check(f"game-floor-gf{q}", ok, q=q, floor=floor, rounds=rounds)
+    return all(r >= floor for r in rounds.values()), {"floor": floor, "rounds": rounds}
 
 
-def _sc_linleak_exhaustive() -> dict:
-    ctx = field(4)
+def _collisions_verified(ctx: FieldCtx, tuples) -> dict:
+    """How many of the (k, i, j) = (2, 0, 1) probe tuples collide."""
     count = verified = 0
-    for tup in itertools.product(_query_space(ctx), repeat=3):
+    for tup in tuples:
         count += 1
         verified += linear_impossibility_check(ctx, 2, 0, 1, tup)
-    return _check(
-        "linleak-exhaustive-gf4",
-        count == 1728 and verified == count,
-        q=4,
-        count=count,
-        verified=verified,
-    )
+    return {"count": count, "verified": verified}
 
 
-def _sc_linleak_seeded(seed: int) -> dict:
+def _sc_linleak_exhaustive() -> tuple:
+    ctx = field(4)
+    tally = _collisions_verified(ctx, itertools.product(_query_space(ctx), repeat=3))
+    return tally["count"] == 1728 and tally["verified"] == tally["count"], tally
+
+
+def _sc_linleak_seeded(seed: int) -> tuple:
     ctx = field(8)
-    rng = random.Random(seed)
-    count = 1000
-    verified = 0
-    for _ in range(count):
-        tup = tuple(
-            TraceQuery(rng.randrange(1, 8), rng.randrange(8)) for _ in range(5)
-        )
-        verified += linear_impossibility_check(ctx, 2, 0, 1, tup)
-    return _check(
-        "linleak-seeded-gf8", verified == count, q=8, count=count, verified=verified
-    )
+    tally = _collisions_verified(ctx, _sampled_queries(ctx, 5, 1000, seed))
+    return tally["verified"] == tally["count"], tally
 
 
-def _sc_linleak_lift() -> dict:
+def _sc_linleak_lift() -> tuple:
     ctx = field(4)
     tup = (TraceQuery(1, 2), TraceQuery(2, 1), TraceQuery(3, 3))
     ok = linear_impossibility_check(ctx, 3, 0, 2, tup) and linear_impossibility_check(
         ctx, 3, 2, 0, tup
     )
-    return _check("linleak-lift-gf4", ok, q=4)
+    return ok, {}
 
 
-def _suite_builders(qmax: int, seed: int) -> list:
-    builders = []
+def _field_rows(q: int) -> list:
+    """The per-field rows for GF(q), picked by regime; none when q is not a
+    prime power or is a binary field outside 4..64."""
+    pe = prime_power(q)
+    if pe is None or (pe[0] == 2 and q not in (4, 8, 16, 32, 64)):
+        return []
+    if q == 4:  # no restricted set: only the rejections are checked
+        return [_Row("regime-rejections-gf4", 4, _sc_gf4_rejections)]
+    if q == 5:  # no scaled pair, hence no union sizes or evolution
+        rows = [_Row("pair-absent-gf5", 5, _sc_gf5_pair_absent)]
+    else:
+        rows = [
+            _Row(f"union-sizes-gf{q}", q, partial(_sc_union_sizes, q)),
+            _Row(f"scalar-evolution-gf{q}", q, partial(_sc_scalar_evolution, q)),
+        ]
+    if pe[0] > 2:
+        rows.append(_Row(f"weil-bound-gf{q}", q, partial(_sc_weil, q)))
+        if q != 5:
+            rows.append(_Row(f"residue-mix-gf{q}", q, partial(_sc_residue_mix, q)))
+    else:
+        rows.append(_Row(f"artin-schreier-gf{q}", q, partial(_sc_artin_schreier, q)))
+        rows.append(_Row(f"trace-kernel-gf{q}", q, partial(_sc_trace_kernel, q)))
+    return rows
 
-    def add(name, q, fn):
-        builders.append(_guarded(name, q, fn))
 
-    for q in range(3, qmax + 1):
-        pe = prime_power(q)
-        if pe is None:
-            continue
-        p, _e = pe
-        if p == 2 and q not in (4, 8, 16, 32, 64):
-            continue
-        if q == 4:
-            add("regime-rejections-gf4", 4, _sc_gf4_rejections)
-            continue
-        if q == 5:
-            add("pair-absent-gf5", 5, _sc_gf5_pair_absent)
-            add("weil-bound-gf5", 5, lambda: _sc_weil(5))
-            continue
-        add(f"union-sizes-gf{q}", q, lambda q=q: _sc_union_sizes(q))
-        add(f"scalar-evolution-gf{q}", q, lambda q=q: _sc_scalar_evolution(q))
-        if p > 2:
-            add(f"weil-bound-gf{q}", q, lambda q=q: _sc_weil(q))
-            add(f"residue-mix-gf{q}", q, lambda q=q: _sc_residue_mix(q))
-        else:
-            add(f"artin-schreier-gf{q}", q, lambda q=q: _sc_artin_schreier(q))
-            add(f"trace-kernel-gf{q}", q, lambda q=q: _sc_trace_kernel(q))
-
-    if qmax >= 3:
-        add("scaled-pair-gf3", 3, _sc_scaled_pair_gf3)
-        add("b11-gf3", 3, _sc_b11_gf3)
-    if qmax >= 5:
-        add("b11-gf5", 5, _sc_b11_gf5)
-        add("bound-closed-forms", 5, lambda: _sc_bound_forms(qmax))
-    if qmax >= 7:
-        add("character-table-spots", 7, _sc_character_spots)
-        add("gf7-verify-five-bits", 7, _sc_gf7_scheme)
-        add("gf7-truncations-fail", 7, _sc_gf7_truncations)
-        add("gf7-figure1-golden", 7, _sc_gf7_figure1)
-        add("gf7-one-bit-leak", 7, _sc_gf7_leak)
-        add("gf7-product-one-lines", 7, _sc_gf7_bucket_lines)
-        add("scheme-json-roundtrip", 7, _sc_scheme_roundtrip)
-        add("off-schedule-rejected-gf7", 7, _sc_off_schedule)
-        add("pipeline-gf7", 7, _sc_pipeline_gf7)
-        add("appendix-search-gf7", 7, _sc_appendix_search_gf7)
-    if qmax >= 8:
-        add("b11-gf8", 8, _sc_b11_gf8)
-        add("binary-sqrt-canonical-gf8", 8, _sc_binary_sqrt_gf8)
-        add("replay-size-gf8", 8, _sc_replay_gf8)
-    for q in (7, 8, 9, 11, 13, 16):
-        if q <= qmax:
-            add(f"game-floor-gf{q}", q, lambda q=q: _sc_game_floor(q, seed))
-    if qmax >= 4:
-        add("linleak-exhaustive-gf4", 4, _sc_linleak_exhaustive)
-        add("linleak-lift-gf4", 4, _sc_linleak_lift)
-    if qmax >= 8:
-        add("linleak-seeded-gf8", 8, lambda: _sc_linleak_seeded(seed))
-    return builders
+def _suite_rows(qmax: int, seed: int) -> list:
+    """The battery in report order: the per-field rows for every q <= qmax,
+    then each fixed row whose q <= qmax."""
+    fixed = [
+        _Row("scaled-pair-gf3", 3, _sc_scaled_pair_gf3),
+        _Row("b11-gf3", 3, _sc_b11_gf3),
+        _Row("b11-gf5", 5, _sc_b11_gf5),
+        _Row("bound-closed-forms", 5, partial(_sc_bound_forms, qmax)),
+        _Row("character-table-spots", 7, _sc_character_spots),
+        _Row("gf7-verify-five-bits", 7, _sc_gf7_scheme),
+        _Row("gf7-truncations-fail", 7, _sc_gf7_truncations),
+        _Row("gf7-figure1-golden", 7, _sc_gf7_figure1),
+        _Row("gf7-one-bit-leak", 7, _sc_gf7_leak),
+        _Row("gf7-product-one-lines", 7, _sc_gf7_bucket_lines),
+        _Row("scheme-json-roundtrip", 7, _sc_scheme_roundtrip),
+        _Row("off-schedule-rejected-gf7", 7, _sc_off_schedule),
+        _Row("pipeline-gf7", 7, _sc_pipeline_gf7),
+        _Row("appendix-search-gf7", 7, _sc_appendix_search_gf7),
+        _Row("b11-gf8", 8, _sc_b11_gf8),
+        _Row("binary-sqrt-canonical-gf8", 8, _sc_binary_sqrt_gf8),
+        _Row("replay-size-gf8", 8, _sc_replay_gf8),
+        *(
+            _Row(f"game-floor-gf{q}", q, partial(_sc_game_floor, q, seed))
+            for q in (7, 8, 9, 11, 13, 16)
+        ),
+        _Row("linleak-exhaustive-gf4", 4, _sc_linleak_exhaustive),
+        _Row("linleak-lift-gf4", 4, _sc_linleak_lift),
+        _Row("linleak-seeded-gf8", 8, partial(_sc_linleak_seeded, seed)),
+    ]
+    rows = [row for q in range(3, qmax + 1) for row in _field_rows(q)]
+    return rows + [row for row in fixed if row.q <= qmax]
 
 
 def cmd_suite(args) -> RunReport:
-    checks = [build() for build in _suite_builders(args.qmax, args.seed)]
+    if args.qmax < 3:
+        raise PreconditionViolated(f"--qmax must be at least 3, got {args.qmax}")
+    checks = [_run_row(row) for row in _suite_rows(args.qmax, args.seed)]
     payload = {
         "qmax": args.qmax,
         "seed": args.seed,

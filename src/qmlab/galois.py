@@ -38,17 +38,6 @@ MAX_Q = 2**20
 _TABLE_LIMIT = 2**12  # build exp/log tables up to this field size
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, ascending."""
     out = []
@@ -159,7 +148,7 @@ class FieldCtx:
             raise ValueError(f"p={p} exceeds the supported limit {MAX_Q}")
         if e > MAX_Q.bit_length():
             raise ValueError(f"q={p}^{e} exceeds the supported limit {MAX_Q}")
-        if not is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
@@ -331,9 +320,6 @@ class FieldCtx:
         if self._exp is not None:
             return self._exp[(self._log[a] * n) % (self.q - 1)]
         return self._raw_pow(a, n)
-
-    def frobenius(self, a: int, w: int = 1) -> int:
-        return self.pow(a, self.p**w)
 
     def trace(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^{p^{e-1}}; always lands in the prime subfield."""

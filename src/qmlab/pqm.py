@@ -290,7 +290,7 @@ def play_game(config: GameConfig) -> dict:
         "seed": config.seed,
         "rounds": played if finished else math.inf,
         "rounds_played": played,
-        "survivors": list(state.history) if state.history else [state.total()],
+        "survivors": list(state.history),
         "ties": ties,
         "classes_left": state.nonempty(),
     }

@@ -273,6 +273,37 @@ def test_game_rejects_flags_that_would_play_no_rounds(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "strategy", [[], ["--strategy", "greedy-halving"], ["--strategy", "random-set"]]
+)
+def test_game_rejects_v_file_without_replay(capsys, tmp_path, strategy):
+    # the file is valid: a game would play, and ignore it, were it not refused
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"field": field(7).descriptor(), "v_seq": [[0, 1, 2], [3]]}))
+    assert cmd_dispatch(["game", "--q", "7", *strategy, "--v-file", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --v-file needs --strategy replay\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_linleak_check_rejects_fewer_than_one_sample(capsys, samples):
+    assert cmd_dispatch(["linleak", "check", "--q", "8", "--samples", samples, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("qmax", ["-1", "0", "2"])
+def test_suite_rejects_qmax_below_three(capsys, qmax):
+    assert cmd_dispatch(["suite", "--qmax", qmax, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --qmax must be at least 3, got {qmax}\n"
+    code, report = run_json(capsys, ["suite", "--qmax", "3"])
+    assert code == 0 and len(report["checks"]) == report["passed"] > 0
+
+
 def test_game_meets_floor(capsys):
     code, report = run_json(capsys, ["game", "--q", "7", "--strategy", "greedy-halving"])
     assert code == 0

@@ -1,0 +1,131 @@
+"""Seeded fuzz test of the CLI exit contract: every argv exits 0, 1 or 2.
+
+Argument lists are drawn from per-subcommand pools that mix valid values
+with out-of-range numbers, non-prime-power fields, malformed scheme and
+v_seq files, missing files, unknown flags and non-numeric text.  Fields stay
+at q <= 16 and search budgets, sample counts and --qmax stay small, so each
+call is cheap.  argparse rejections raise SystemExit(2), which counts as 2.
+"""
+
+import json
+import random
+
+from qmlab.cli import cmd_dispatch, scheme_to_obj
+from qmlab.shamir7 import gf7_scheme
+
+CALLS = 200
+GOOD_QS = ["2", "3", "4", "5", "7", "8", "9", "11", "13", "16"]
+BAD_QS = ["0", "1", "6", "-7", "x", "2000000"]
+CHEAP_EXHAUSTIVE_QS = ["2", "3", "4", "5", "7", "11", "13", "16", "6", "0"]
+SEARCH_QS = ["3", "5", "7", "8", "9", "16", "6"]
+
+def _files(tmp_path) -> dict:
+    scheme = scheme_to_obj(gf7_scheme())
+    docs = {
+        "scheme": scheme,
+        "scheme-short": {**scheme, "sets": scheme["sets"][:2]},
+        "scheme-bad-field": {**scheme, "field": {"p": 6, "e": 1}},
+        "scheme-bool": {**scheme, "servers": [True, 2]},
+        "v": {"field": scheme["field"], "v_seq": [[0, 1, 6], [2, 5], [3, 4]]},
+        "v-bare": {"v_seq": [[1], [2, 3]]},
+        "v-out-of-field": {"v_seq": [[0, 99]]},
+        "v-not-list": {"v_seq": 5},
+        "list": [1, 2, 3],
+    }
+    paths = {}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"v_seq": [[0, 1]')
+    paths["broken"] = str(broken)
+    paths["missing"] = str(tmp_path / "missing.json")
+    return paths
+
+
+def _argv(rng: random.Random, files: dict) -> list:
+    pick = rng.choice
+
+    def csv():
+        return ",".join(str(rng.randint(-1, 9)) for _ in range(rng.randint(0, 5)))
+
+    def field_flags(qs=None):
+        if qs is not None:  # a command that is slow on some larger fields
+            return ["--q", pick(qs)]
+        qs = GOOD_QS if rng.random() < 0.8 else BAD_QS
+        roll = rng.random()
+        if roll < 0.75:
+            return ["--q", pick(qs)]
+        if roll < 0.9:
+            return ["--p", pick(["2", "3", "7", "4", "-1"]), "--e", pick(["1", "2", "0", "-3"])]
+        return pick([[], ["--p", "13"]])
+
+    def some(*flags):
+        """Each (flag, values[, chance]) is added with that chance (default
+        one half); values None means a bare flag, a callable draws a value."""
+        out = []
+        for flag, values, *chance in flags:
+            if rng.random() < (chance[0] if chance else 0.5):
+                if values is None:
+                    out.append(flag)
+                else:
+                    out += [flag, values() if callable(values) else pick(values)]
+        return out
+
+    scheme_file = ["scheme", "scheme-short", "scheme-bad-field", "scheme-bool", "list",
+                   "broken", "missing", "v"]
+    v_file = ["v", "v-bare", "v-out-of-field", "v-not-list", "list", "broken", "missing",
+              "scheme"]
+    command = pick(
+        [
+            lambda: ["field", *field_flags()],
+            lambda: ["residues", *field_flags()],
+            lambda: ["charsum", *field_flags(), *some(("--poly", csv, 0.9))],
+            lambda: ["buckets", *field_flags()],
+            lambda: ["bound", *field_flags()],
+            lambda: ["qm", "verify", "--scheme", files[pick(scheme_file)],
+                     *some(("--domain", ["all", "nonzero", "omega", "none"]))],
+            lambda: ["qm", "search", *field_flags(SEARCH_QS),
+                     "--budget", pick(["-1", "0", "5", "40"]),
+                     *some(("--mode", ["qm", "mqm", "appendix"]),
+                           ("--tmax", ["-1", "0", "2", "3"]), ("--servers", csv))],
+            lambda: ["qm", "convert", "--scheme", files[pick(scheme_file)]],
+            lambda: ["pqm", "run", "--v-file", files[pick(v_file)],
+                     *some(("--transcript", csv, 0.9), ("--q", GOOD_QS))],
+            lambda: ["game", *field_flags(),
+                     *some(("--strategy", ["greedy-halving", "random-set", "replay"]),
+                           ("--max-rounds", ["-1", "0", "2", "30"]),
+                           ("--v-file", lambda: files[pick(v_file)]))],
+            lambda: ["linleak", "check", *field_flags(),
+                     *some(("--k", ["0", "1", "2", "3", "9"]), ("--i", ["-1", "0", "1", "2"]),
+                           ("--j", ["0", "1", "3"]), ("--samples", ["-5", "0", "1", "30"], 0.9))],
+            lambda: ["linleak", "check", "--exhaustive", *field_flags(CHEAP_EXHAUSTIVE_QS)],
+            lambda: ["gf7", pick(["verify", "table"])],
+            lambda: ["gf7", "leak",
+                     *some(("--alpha", ["-1", "0", "3", "7"], 0.9), ("--set", csv, 0.9))],
+            lambda: ["suite", "--qmax", pick(["-1", "0", "2", "3", "4", "6"])],
+        ]
+    )()
+    junk = [pick(["--bogus", "--q=", "--seed=x"])] if rng.random() < 0.05 else []
+    return command + some(("--json", None), ("--seed", ["0", "7", "-3"])) + junk
+
+
+def test_every_argv_exits_0_1_or_2(capsys, tmp_path):
+    files = _files(tmp_path)
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(CALLS):
+        argv = _argv(rng, files)
+        try:
+            code = cmd_dispatch(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        seen.add(code)
+        if code == 2:
+            assert "error: " in err and "Traceback" not in err, argv
+        elif "--json" in argv:
+            assert json.loads(out)["ok"] is (code == 0), argv
+    assert seen == {0, 1, 2}
