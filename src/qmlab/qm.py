@@ -110,7 +110,7 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
         raise PreconditionViolated("transcript length must match the schedule")
     ctx = scheme.ctx
     domain = tuple(ctx.elements) if product_domain is None else tuple(product_domain)
-    survivors = {g: list(bucket(ctx, g).lines) for g in domain}
+    survivors = {g: list(bucket(ctx, g)) for g in domain}
     for b, a, t_mask in zip(bits, scheme.schedule, scheme.sets):
         keep_inside = b == 0
         for g in domain:

@@ -14,12 +14,11 @@ product and permutes the bucket.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
-from .galois import FieldCtx, mask_elems
+from .galois import FieldCtx, mask_elems, mask_of
 from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
@@ -50,14 +49,9 @@ def h_line(ctx: FieldCtx, sqrt_system: SqrtSystem, gamma: int, m: int) -> Line:
     return make_line(ctx, ctx.mul(r, ctx.inv(m)), ctx.mul(r, m))
 
 
-@dataclass(frozen=True)
-class Bucket:
-    gamma: int
-    lines: frozenset
-
-
 @lru_cache(maxsize=None)
-def bucket(ctx: FieldCtx, gamma: int) -> Bucket:
+def bucket(ctx: FieldCtx, gamma: int) -> frozenset:
+    """The lines whose coefficient product is gamma."""
     if ctx.q > _BUCKET_LIMIT:
         raise UnsupportedField(f"bucket enumeration capped at q <= {_BUCKET_LIMIT}")
     if gamma == 0:
@@ -67,26 +61,16 @@ def bucket(ctx: FieldCtx, gamma: int) -> Bucket:
     else:
         lines = {make_line(ctx, m, ctx.div(gamma, m)) for m in ctx.units}
         assert sorted(l.m for l in lines) == list(ctx.units)
-    return Bucket(gamma, frozenset(lines))
-
-
-@dataclass(frozen=True)
-class EvalImage:
-    gamma: int
-    alpha: int
-    mask: int
-
-    @cached_property
-    def points(self) -> frozenset:
-        return frozenset(mask_elems(self.mask))
+    return frozenset(lines)
 
 
 @lru_cache(maxsize=None)
-def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> EvalImage:
+def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
+    """The q-bit mask of B_gamma(alpha) = {f(alpha) : f in bucket(gamma)}."""
     mask = 0
-    for line in bucket(ctx, gamma).lines:
+    for line in bucket(ctx, gamma):
         mask |= 1 << line_eval(ctx, line, alpha)
-    return EvalImage(gamma, alpha, mask)
+    return mask
 
 
 def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> Line:
@@ -120,9 +104,8 @@ def scalar_evolution(
     num = ctx.mul(sqrt_system.sqrt(gamma), sqrt_system.sqrt(alpha))
     den = ctx.mul(sqrt_system.sqrt(delta), sqrt_system.sqrt(beta))
     scale = ctx.div(num, den)
-    lhs = bucket_eval(ctx, gamma, alpha).points
-    rhs = {ctx.mul(scale, y) for y in bucket_eval(ctx, delta, beta).points}
-    return lhs == rhs
+    rhs = mask_of(ctx.mul(scale, y) for y in mask_elems(bucket_eval(ctx, delta, beta)))
+    return bucket_eval(ctx, gamma, alpha) == rhs
 
 
 def encode(ctx: FieldCtx, message, eval_points) -> tuple:

@@ -82,11 +82,9 @@ def one_bit_leak(alpha: int, t_set) -> dict:
     t_mask = mask_of(t_set)
     out = {}
     for bit in (0, 1):
-        consistent = [x for x in ctx.elements if leak_bit(t_mask, x) == bit]
+        consistent = mask_of(x for x in ctx.elements if leak_bit(t_mask, x) == bit)
         out[bit] = frozenset(
-            g
-            for g in ctx.elements
-            if not (bucket_eval(ctx, g, alpha).points & frozenset(consistent))
+            g for g in ctx.elements if not bucket_eval(ctx, g, alpha) & consistent
         )
     return out
 

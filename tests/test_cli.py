@@ -126,6 +126,22 @@ def test_gf7_commands(capsys):
     assert code == 0 and "{2,3,4,5}" in text
 
 
+@pytest.mark.parametrize("argv", [["buckets", "--q", "7"], ["gf7", "table"]])
+def test_image_grid_is_built_only_in_text_mode(capsys, monkeypatch, argv):
+    usual = run_cli(capsys, argv + ["--json"])
+
+    def boom(*_args):
+        raise AssertionError("the text grid was built for a JSON report")
+
+    monkeypatch.setattr(cli, "_grid_lines", boom)
+    assert run_cli(capsys, argv + ["--json"]) == usual
+    assert usual[0] == 0 and json.loads(usual[1])["table"]["1"]["4"] == [2, 3, 4, 5]
+    monkeypatch.undo()
+    code, text = run_cli(capsys, argv)
+    assert code == 0 and "evaluation point (rows) by coefficient product (columns)" in text
+    assert "{2,3,4,5}" in text
+
+
 def test_scheme_roundtrip_bytes(tmp_path):
     obj = scheme_to_obj(gf7_scheme())
     path = tmp_path / "scheme.json"
@@ -262,6 +278,7 @@ def test_game_rejects_malformed_v_file(capsys, tmp_path):
     "argv, flag",
     [
         (["--max-rounds", "-3"], "--max-rounds"),
+        (["--max-rounds", "0"], "--max-rounds must be at least 1, got 0"),
         (["--strategy", "replay"], "--v-file"),
     ],
 )

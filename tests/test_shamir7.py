@@ -1,6 +1,6 @@
 import itertools
 
-from qmlab.galois import field, mask_elems
+from qmlab.galois import field, mask_elems, mask_of
 from qmlab.qm import LeakageScheme, transcript, verify_scheme
 from qmlab.rscode import bucket_eval
 from qmlab.shamir7 import (
@@ -89,4 +89,4 @@ def test_figure1_matches_computed_images():
     for alpha in range(7):
         assert len(table[alpha]) == 7
         for gamma in range(7):
-            assert table[alpha][gamma] == bucket_eval(ctx, gamma, alpha).points
+            assert mask_of(table[alpha][gamma]) == bucket_eval(ctx, gamma, alpha)
