@@ -278,8 +278,8 @@ def test_game_rejects_malformed_v_file(capsys, tmp_path):
     "argv, flag",
     [
         (["--max-rounds", "-3"], "--max-rounds"),
-        (["--max-rounds", "0"], "--max-rounds must be at least 1, got 0"),
         (["--strategy", "replay"], "--v-file"),
+        (["--max-rounds", "0"], "--max-rounds must be at least 1, got 0"),
     ],
 )
 def test_game_rejects_flags_that_would_play_no_rounds(capsys, argv, flag):
