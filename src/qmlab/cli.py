@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
@@ -355,8 +355,10 @@ def _gf7_five_bits() -> tuple:
     return verify_gf7() and (bits, naive) == (5, 6), {"bits": bits, "naive_bits": naive}
 
 
+@lru_cache(maxsize=None)
 def _searched_gf7():
-    """(t, scheme) of the minimum-bandwidth MQM search over GF(7), or None."""
+    """(t, scheme) of the minimum-bandwidth MQM search over GF(7), or None;
+    searched once per process, since two suite checks read it."""
     ctx = field(7)
     return search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
 
@@ -463,6 +465,10 @@ def cmd_qm_verify(args) -> RunReport:
 
 def cmd_qm_search(args) -> RunReport:
     ctx = _field_from_args(args)
+    if args.tmax is not None and args.tmax < 0:
+        raise PreconditionViolated(f"--tmax must be at least 0, got {args.tmax}")
+    if args.budget < 1:
+        raise PreconditionViolated(f"--budget must be at least 1, got {args.budget}")
     servers = frozenset(args.servers) if args.servers else frozenset(ctx.elements)
     got = search_min_bandwidth(
         ctx, _MODES[args.mode], servers, t_max=args.tmax, budget=args.budget

@@ -326,7 +326,10 @@ def search_min_bandwidth(
     point adds a must-split edge there, and a point with b bits can honor
     its edges iff they are 2**b-colorable.  Returns (t, scheme) or None when
     no scheme exists within t_max; raises BudgetExceeded after `budget`
-    search nodes.
+    search nodes.  Beside the committed edges it keeps, and restores on
+    backtrack, each point's max degree and probe verdicts and each
+    constraint's count of committed options, so a node neither rescans
+    degrees nor re-tests splits.
     """
     if ctx.q > _SEARCH_Q_LIMIT:
         raise PreconditionViolated(f"exhaustive search capped at q <= {_SEARCH_Q_LIMIT}")
@@ -372,18 +375,31 @@ def search_min_bandwidth(
 
     nodes = 0
     adj = [[0] * q for _ in alphas]
+    top = [0] * len(alphas)  # max degree of the committed graph at each point
+    verdicts: list[dict] = [{} for _ in alphas]  # option -> colorable, per point
+    split = [0] * len(constraints)  # committed options per constraint
+    holders: dict[tuple, list[int]] = {}
+    for ci, sig in enumerate(constraints):
+        for opt in sig:
+            holders.setdefault(opt, []).append(ci)
     color_cache: dict[tuple, bool] = {}
 
-    def colorable(ai: int, colors: int) -> bool:
+    def colorable(ai: int, u: int, v: int, colors: int) -> bool:
+        """Whether the committed graph at ai plus edge uv is colors-colorable."""
         if colors >= q:
             return True
-        if max(row.bit_count() for row in adj[ai]) < colors:
+        row = adj[ai]
+        if max(top[ai], row[u].bit_count() + 1, row[v].bit_count() + 1) < colors:
             return True  # greedy coloring needs at most max degree + 1
-        key = (ai, colors, tuple(adj[ai]))
+        row[u] |= 1 << v
+        row[v] |= 1 << u
+        key = (ai, colors, tuple(row))
         got = color_cache.get(key)
         if got is None:
-            got = _color_graph(q, adj[ai], colors) is not None
+            got = _color_graph(q, row, colors) is not None
             color_cache[key] = got
+        row[u] ^= 1 << v
+        row[v] ^= 1 << u
         return got
 
     def solve(caps) -> bool:
@@ -394,20 +410,20 @@ def search_min_bandwidth(
         if nodes > budget:
             raise BudgetExceeded(f"search expanded more than {budget} nodes")
         branch = None
-        for sig in constraints:
-            if any((adj[ai][u] >> v) & 1 for ai, u, v in sig):
+        for ci, sig in enumerate(constraints):
+            if split[ci]:
                 continue  # already split
             viable = []
-            for ai, u, v in sig:
+            for opt in sig:
+                ai, u, v = opt
                 if caps[ai] == 1:
                     continue
-                adj[ai][u] |= 1 << v
-                adj[ai][v] |= 1 << u
-                ok = colorable(ai, caps[ai])
-                adj[ai][u] ^= 1 << v
-                adj[ai][v] ^= 1 << u
+                seen = verdicts[ai]
+                ok = seen.get(opt)
+                if ok is None:
+                    ok = seen[opt] = colorable(ai, u, v, caps[ai])
                 if ok:
-                    viable.append((ai, u, v))
+                    viable.append(opt)
             if not viable:
                 return False
             if branch is None or len(viable) < len(branch):
@@ -416,13 +432,23 @@ def search_min_bandwidth(
                     break
         if branch is None:
             return True
-        for ai, u, v in branch:
-            adj[ai][u] |= 1 << v
-            adj[ai][v] |= 1 << u
+        for opt in branch:
+            ai, u, v = opt
+            row = adj[ai]
+            saved = top[ai], verdicts[ai]
+            row[u] |= 1 << v
+            row[v] |= 1 << u
+            top[ai] = max(saved[0], row[u].bit_count(), row[v].bit_count())
+            verdicts[ai] = {}
+            for ci in holders[opt]:
+                split[ci] += 1
             if solve(caps):
                 return True
-            adj[ai][u] ^= 1 << v
-            adj[ai][v] ^= 1 << u
+            for ci in holders[opt]:
+                split[ci] -= 1
+            row[u] ^= 1 << v
+            row[v] ^= 1 << u
+            top[ai], verdicts[ai] = saved
         return False
 
     def compositions(total: int, parts: int, cap: int):
@@ -440,6 +466,9 @@ def search_min_bandwidth(
             for row in adj:
                 for v in range(q):
                     row[v] = 0
+            top[:] = [0] * len(alphas)
+            verdicts[:] = [{} for _ in alphas]  # verdicts depend on the caps
+            split[:] = [0] * len(constraints)
             caps = tuple(1 << b for b in bits)
             if solve(caps):
                 colorings = [

@@ -321,6 +321,19 @@ def test_suite_rejects_qmax_below_three(capsys, qmax):
     assert code == 0 and len(report["checks"]) == report["passed"] > 0
 
 
+@pytest.mark.parametrize(
+    "flag, value, least", [("--tmax", "-1", 0), ("--budget", "0", 1), ("--budget", "-5", 1)]
+)
+def test_qm_search_rejects_out_of_range_flags(capsys, flag, value, least):
+    argv = ["qm", "search", "--q", "3", "--mode", "mqm", "--servers", "1"]
+    assert cmd_dispatch([*argv, flag, value, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
+    code, report = run_json(capsys, [*argv, flag, str(least)])
+    assert code == 0 and report["found"] and report["t"] == 0
+
+
 def test_game_meets_floor(capsys):
     code, report = run_json(capsys, ["game", "--q", "7", "--strategy", "greedy-halving"])
     assert code == 0

@@ -281,7 +281,25 @@ def test_search_appendix_gf7_beats_five_bits():
         field(7), APPENDIX, set(range(5)), budget=3_000_000
     )
     assert t == 4
+    assert scheme.schedule == (3, 3, 4, 4)
+    assert scheme.sets == (60, 90, 60, 90)
     assert verify_scheme(scheme, field(7).units)
+
+
+@pytest.mark.parametrize(
+    "q, mode, servers, nodes",
+    [
+        (7, APPENDIX, range(5), 3_636),
+        (5, QM, range(5), 4_168),
+        (8, MQM, (1, 4, 7), 998),
+    ],
+)
+def test_search_node_budget_boundaries(q, mode, servers, nodes):
+    # the exact node count pins the search tree: any change to which nodes
+    # are visited, or in what order, moves one of these boundaries
+    assert search_min_bandwidth(field(q), mode, set(servers), budget=nodes) is not None
+    with pytest.raises(BudgetExceeded):
+        search_min_bandwidth(field(q), mode, set(servers), budget=nodes - 1)
 
 
 def test_search_monotone_extension():
