@@ -25,7 +25,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -44,7 +44,7 @@ from .galois import (
     mask_to_hex,
     prime_power,
 )
-from .linleak import TraceQuery, linear_impossibility_check, transcript_collision
+from .linleak import TraceQuery, linear_impossibility_check
 from .pqm import (
     STRATEGIES,
     GameConfig,
@@ -62,6 +62,7 @@ from .qm import (
     SUCCESS,
     InvalidScheme,
     LeakageScheme,
+    _mode_domain,
     collision_witness,
     leak_bit,
     mqm_check,
@@ -83,6 +84,7 @@ from .rscode import bucket, bucket_eval, scalar_evolution
 from .shamir7 import download_cost, figure1_table, gf7_scheme, one_bit_leak, verify_gf7
 
 _MODES = {"qm": QM, "mqm": MQM, "appendix": APPENDIX}
+_DOMAIN_MODES = {"all": QM, "nonzero": APPENDIX, "omega": MQM}  # qm verify --domain
 _EXHAUSTIVE_LIMIT = 10**6
 
 
@@ -335,6 +337,25 @@ def _sampled_queries(ctx: FieldCtx, t: int, count: int, seed: int):
         yield tuple(TraceQuery(rng.randrange(1, ctx.q), rng.randrange(ctx.q)) for _ in range(t))
 
 
+def _collision_tally(ctx: FieldCtx, k: int, i: int, j: int, tuples) -> tuple:
+    """(count, verified, witness, failing) over the probe tuples: how many
+    admit a verified (k, i, j) collision pair, the first pair with its probes
+    as report fields, and the first tuple admitting none."""
+    count = verified = 0
+    witness = failing = None
+    for tup in tuples:
+        count += 1
+        pair = linear_impossibility_check(ctx, k, i, j, tup)
+        if pair:
+            verified += 1
+            if witness is None:
+                witness = {"queries": [[qy.alpha, qy.gamma] for qy in tup],
+                           "f": pair[0], "ell": pair[1]}
+        elif failing is None:
+            failing = {"queries": [[qy.alpha, qy.gamma] for qy in tup]}
+    return count, verified, witness, failing
+
+
 def _union_sizes(ctx: FieldCtx, ss, pair) -> tuple:
     """(expected size, {g: union size} over the restricted set, the sizes
     that differ keyed by str(g))."""
@@ -440,15 +461,10 @@ def cmd_buckets(args) -> RunReport:
 def cmd_qm_verify(args) -> RunReport:
     scheme = read_scheme(args.scheme)
     ctx = scheme.ctx
+    domain = _mode_domain(ctx, _DOMAIN_MODES[args.domain])
     checks = []
-    if args.domain == "all":
-        domain = tuple(ctx.elements)
-    elif args.domain == "nonzero":
-        domain = tuple(ctx.units)
-    else:
-        om = omega_set(ctx)
-        domain = om.elements
-        ok, extra = _failing([a for a in scheme.schedule if a not in om])
+    if args.domain == "omega":
+        ok, extra = _failing([a for a in scheme.schedule if a not in domain])
         checks.append(_check("schedule-restricted", ok, **extra))
     witness = collision_witness(scheme, domain)
     ok, extra = _failing(witness and witness._asdict(), domain=args.domain)
@@ -581,21 +597,7 @@ def cmd_linleak_check(args) -> RunReport:
             raise PreconditionViolated(f"--samples must be at least 1, got {args.samples}")
         tuples = _sampled_queries(ctx, t, args.samples, args.seed)
         mode = "sampled"
-    count = verified = 0
-    witness = failing = None
-    for tup in tuples:
-        count += 1
-        ok = linear_impossibility_check(ctx, args.k, args.i, args.j, tup)
-        verified += ok
-        if ok and witness is None:
-            f, ell = transcript_collision(ctx, tup)
-            witness = {
-                "queries": [[qy.alpha, qy.gamma] for qy in tup],
-                "f": list(f),
-                "ell": list(ell),
-            }
-        if not ok and failing is None:
-            failing = {"queries": [[qy.alpha, qy.gamma] for qy in tup]}
+    count, verified, witness, failing = _collision_tally(ctx, args.k, args.i, args.j, tuples)
     payload = {
         "field": ctx.descriptor(),
         "q": ctx.q,
@@ -790,14 +792,10 @@ def _sc_gf7_truncations() -> tuple:
     scheme = gf7_scheme()
     surviving = []
     for z in range(scheme.t):
-        short = LeakageScheme(
-            scheme.ctx,
-            2,
-            0,
-            1,
-            scheme.servers,
-            scheme.schedule[:z] + scheme.schedule[z + 1 :],
-            scheme.sets[:z] + scheme.sets[z + 1 :],
+        short = replace(
+            scheme,
+            schedule=scheme.schedule[:z] + scheme.schedule[z + 1 :],
+            sets=scheme.sets[:z] + scheme.sets[z + 1 :],
         )
         if verify_scheme(short, scheme.ctx.units):
             surviving.append(z)
@@ -925,25 +923,17 @@ def _sc_game_floor(q: int, seed: int) -> tuple:
     return all(r >= floor for r in rounds.values()), {"floor": floor, "rounds": rounds}
 
 
-def _collisions_verified(ctx: FieldCtx, tuples) -> dict:
-    """How many of the (k, i, j) = (2, 0, 1) probe tuples collide."""
-    count = verified = 0
-    for tup in tuples:
-        count += 1
-        verified += linear_impossibility_check(ctx, 2, 0, 1, tup)
-    return {"count": count, "verified": verified}
-
-
 def _sc_linleak_exhaustive() -> tuple:
     ctx = field(4)
-    tally = _collisions_verified(ctx, itertools.product(_query_space(ctx), repeat=3))
-    return tally["count"] == 1728 and tally["verified"] == tally["count"], tally
+    tuples = itertools.product(_query_space(ctx), repeat=3)
+    count, verified, _, _ = _collision_tally(ctx, 2, 0, 1, tuples)
+    return count == 1728 and verified == count, {"count": count, "verified": verified}
 
 
 def _sc_linleak_seeded(seed: int) -> tuple:
     ctx = field(8)
-    tally = _collisions_verified(ctx, _sampled_queries(ctx, 5, 1000, seed))
-    return tally["verified"] == tally["count"], tally
+    count, verified, _, _ = _collision_tally(ctx, 2, 0, 1, _sampled_queries(ctx, 5, 1000, seed))
+    return verified == count, {"count": count, "verified": verified}
 
 
 def _sc_linleak_lift() -> tuple:
@@ -1039,9 +1029,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def leaf(owner, name, func, help_):
         sp = owner.add_parser(name, help=help_)
         sp.add_argument("--json", action="store_true", help="emit the canonical JSON report")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
         sp.set_defaults(func=func)
         return sp
+
+    def seed_flag(sp):
+        sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
 
     def field_flags(sp):
         sp.add_argument("--q", type=int, help="field size (prime power)")
@@ -1080,6 +1072,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = leaf(sub, "game", cmd_game, "adversarial pruning game")
     field_flags(sp)
+    seed_flag(sp)
     sp.add_argument("--strategy", choices=STRATEGIES, default="greedy-halving")
     sp.add_argument("--max-rounds", type=int, default=None)
     sp.add_argument("--v-file", default=None, help="v_seq JSON for the replay strategy")
@@ -1091,6 +1084,7 @@ def _build_parser() -> argparse.ArgumentParser:
     llsub = ll.add_subparsers(dest="action", required=True, metavar="action")
     sp = leaf(llsub, "check", cmd_linleak_check, "transcript collisions below full download")
     field_flags(sp)
+    seed_flag(sp)
     sp.add_argument("--k", type=int, default=2, help="message dimension")
     sp.add_argument("--i", type=int, default=0, help="first target coefficient")
     sp.add_argument("--j", type=int, default=1, help="second target coefficient")
@@ -1107,6 +1101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", type=_csv_ints, required=True, help="leakage set (e.g. 0,1,6)")
 
     sp = leaf(sub, "suite", cmd_suite, "full verification battery")
+    seed_flag(sp)
     sp.add_argument("--qmax", type=int, default=64, help="largest field size to cover")
     return parser
 

@@ -127,10 +127,11 @@ def transcript_collision(ctx: FieldCtx, queries) -> tuple:
     return f, ell
 
 
-def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -> bool:
-    """True when the queries admit a verified collision pair of degree-(k-1)
-    codewords agreeing on every probe but differing in the i*j coefficient
-    product, so no reconstruction function exists for that product.
+def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -> tuple | None:
+    """A verified collision pair (poly_f, poly_ell) of degree-(k-1) codewords,
+    k coefficients each with the constant first, that agree on every probe
+    but differ in the i*j coefficient product, so no reconstruction function
+    exists for that product; None when the pair fails to verify.
 
     Higher dimensions reduce to lines: rescaling a stored evaluation by
     alpha^(-i) turns the i and j coefficients into the intercept and slope
@@ -157,4 +158,6 @@ def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -
         for qy in queries
     )
     products_differ = ctx.mul(poly_f[i], poly_f[j]) != ctx.mul(poly_ell[i], poly_ell[j])
-    return transcripts_match and products_differ
+    if transcripts_match and products_differ:
+        return tuple(poly_f), tuple(poly_ell)
+    return None

@@ -245,10 +245,11 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
     Each pair demands that the evaluations at some queried point end up in
     different partition cells; its options are the (point, value, value)
     edges where the two evaluations differ.  Pairs sharing an option
-    signature are one constraint, and a constraint whose options contain
-    another's is dropped (splitting the smaller set splits both).  Returns
-    (pair count, points in canonical order, constraints, blocked) where
-    blocked flags a pair with no options at all.
+    signature are one constraint.  Constraints are sorted by (size,
+    options): a constraint containing another's options sorts after it and
+    is split whenever that one is, so the search never branches on it.
+    Returns (points in canonical order, constraints, blocked) where blocked
+    flags a pair with no options at all.
     """
     domain = _mode_domain(ctx, mode)
     messages = _domain_messages(ctx, domain)
@@ -259,7 +260,6 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
     evals = [
         tuple(ctx.poly_eval(coeffs, a) for coeffs, _ in messages) for a in alphas
     ]
-    n_pairs = 0
     blocked = False
     sigs: set[tuple] = set()
     for x in range(len(messages)):
@@ -267,7 +267,6 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
         for y in range(x + 1, len(messages)):
             if gx == messages[y][1]:
                 continue
-            n_pairs += 1
             options = []
             for ai in range(len(alphas)):
                 u, v = evals[ai][x], evals[ai][y]
@@ -277,15 +276,8 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
                 sigs.add(tuple(options))
             else:
                 blocked = True
-    kept: list[tuple] = []
-    kept_sets: list[frozenset] = []
-    for sig in sorted(sigs, key=lambda s: (len(s), s)):
-        as_set = frozenset(sig)
-        if any(prev <= as_set for prev in kept_sets):
-            continue
-        kept.append(sig)
-        kept_sets.append(as_set)
-    return n_pairs, tuple(alphas), tuple(kept), blocked
+    constraints = tuple(sorted(sigs, key=lambda s: (len(s), s)))
+    return tuple(alphas), constraints, blocked
 
 
 def _color_graph(q: int, adj, colors: int):
@@ -340,7 +332,7 @@ def search_min_bandwidth(
         t_max = 2 * ctx.q
     q = ctx.q
     domain = _mode_domain(ctx, mode)
-    n_pairs, alphas, constraints, blocked = _separation_problem(ctx, mode, servers)
+    alphas, constraints, blocked = _separation_problem(ctx, mode, servers)
     if blocked:
         return None  # some pair no query separates: no bandwidth suffices
 

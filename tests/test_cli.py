@@ -351,6 +351,41 @@ def test_linleak_check_exhaustive_and_sampled(capsys):
     assert cmd_dispatch(["linleak", "check", "--q", "8", "--exhaustive"]) == 2
 
 
+@pytest.mark.parametrize("q, k, i, j", [(8, 3, 0, 2), (9, 4, 1, 3)])
+def test_linleak_check_witness_collides_at_the_targets(capsys, q, k, i, j):
+    argv = ["linleak", "check", "--q", str(q), "--k", str(k), "--i", str(i), "--j", str(j)]
+    code, report = run_json(capsys, [*argv, "--samples", "50"])
+    assert code == 0 and report["verified"] == 50
+    ctx = field(q)
+    witness = report["witness"]
+    f, ell = witness["f"], witness["ell"]
+    assert len(f) == len(ell) == k
+    for alpha, gamma in witness["queries"]:
+        assert ctx.trace(ctx.mul(gamma, ctx.poly_eval(f, alpha))) == ctx.trace(
+            ctx.mul(gamma, ctx.poly_eval(ell, alpha))
+        )
+    assert ctx.mul(f[i], f[j]) != ctx.mul(ell[i], ell[j])
+
+
+@pytest.mark.parametrize(
+    "argv", [["field", "--q", "7"], ["buckets", "--q", "3"], ["qm", "search", "--q", "3"],
+             ["gf7", "verify"]]
+)
+def test_seed_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        cmd_dispatch([*argv, "--seed", "0"])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["game", "--q", "7"], ["linleak", "check", "--q", "4"], ["suite", "--qmax", "3"]]
+)
+def test_seed_is_accepted_where_it_is_read(capsys, argv):
+    code, report = run_json(capsys, [*argv, "--seed", "5"])
+    assert code == 0 and report["ok"]
+
+
 def test_suite_small_and_q9_failure(capsys):
     code, report = run_json(capsys, ["suite", "--qmax", "8"])
     assert code == 0 and report["failed"] == 0

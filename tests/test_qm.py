@@ -292,6 +292,7 @@ def test_search_appendix_gf7_beats_five_bits():
         (7, APPENDIX, range(5), 3_636),
         (5, QM, range(5), 4_168),
         (8, MQM, (1, 4, 7), 998),
+        (3, QM, range(3), 14),
     ],
 )
 def test_search_node_budget_boundaries(q, mode, servers, nodes):
