@@ -454,7 +454,10 @@ def cmd_charsum(args) -> RunReport:
 def cmd_buckets(args) -> RunReport:
     ctx = _field_from_args(args)
     els = ctx.elements
-    cells = {(a, g): mask_elems(bucket_eval(ctx, g, a)) for a in els for g in els}
+    masks = {(a, g): bucket_eval(ctx, g, a) for a in els for g in els}
+    # at most q + 1 distinct masks: q - 1 scaled images, the units, the field
+    elems = {m: mask_elems(m) for m in set(masks.values())}
+    cells = {key: elems[m] for key, m in masks.items()}
     return _table_report("buckets", ctx, cells, [])
 
 

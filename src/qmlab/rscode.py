@@ -10,6 +10,21 @@ The canonical parametrized form of a product-gamma line is
 sqrt(gamma) * ((1/m)x + m); its alpha-relabel divides the slope by
 sqrt(alpha) and multiplies the intercept by sqrt(alpha), which keeps the
 product and permutes the bucket.
+
+Every image comes from the root-scaling law.  B_0(alpha) is the whole field
+and B_gamma(0) the units.  For units gamma, alpha with g the primitive
+element and gamma*alpha = g^k, choose r with r^2 = gamma*alpha / g^eps;
+putting m = r*u/alpha gives m*alpha + gamma/m = r*(u + g^eps/u), so
+
+    B_gamma(alpha) = r * B_{g^eps}(1).
+
+For odd p, eps = k mod 2 and r = g^((k - eps)/2), so there are two base
+images, B_1(1) and B_g(1).  For p = 2, q - 1 is odd, so eps = 0 and
+r = g^(k * 2^-1 mod (q - 1)).  B_{g^eps}(1) is closed under negation, so
+either square root gives the same image.  A field therefore builds at most
+q - 1 images, one per k.  Direct enumeration of a bucket, line by line,
+stays as the private reference `_enumerated_image`: it supplies the two
+bases, and `scalar_evolution` and the tests check the law against it.
 """
 
 from __future__ import annotations
@@ -18,7 +33,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
-from .galois import FieldCtx, mask_elems, mask_of
+from .galois import FieldCtx, mask_elems, mask_full, mask_of
 from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
@@ -65,12 +80,48 @@ def bucket(ctx: FieldCtx, gamma: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
-def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
-    """The q-bit mask of B_gamma(alpha) = {f(alpha) : f in bucket(gamma)}."""
+def _enumerated_image(ctx: FieldCtx, gamma: int, alpha: int) -> int:
+    """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket."""
     mask = 0
     for line in bucket(ctx, gamma):
         mask |= 1 << line_eval(ctx, line, alpha)
     return mask
+
+
+@lru_cache(maxsize=None)
+def _scaled_image(ctx: FieldCtx, k: int) -> int:
+    """r * B_{g^eps}(1), the image of every unit pair with gamma*alpha = g^k."""
+    n = ctx.q - 1
+    if ctx.p == 2:
+        eps, log_r = 0, k * pow(2, -1, n) % n
+    else:
+        eps = k % 2
+        log_r = (k - eps) // 2
+    base = _enumerated_image(ctx, ctx._exp[eps], 1)
+    exp, log = ctx._exp, ctx._log
+    mask = base & 1  # r * 0 = 0
+    for y in mask_elems(base & ~1):
+        mask |= 1 << exp[(log[y] + log_r) % n]
+    return mask
+
+
+@lru_cache(maxsize=None)
+def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
+    """The q-bit mask of B_gamma(alpha) = {f(alpha) : f in bucket(gamma)}.
+
+    The whole field for gamma = 0, the units for alpha = 0, and otherwise
+    r * B_{g^eps}(1) by the root-scaling law in the module docstring, cached
+    per k = log(gamma) + log(alpha) mod (q - 1).  `_enumerated_image` is the
+    direct enumeration it is checked against.
+    """
+    if ctx.q > _BUCKET_LIMIT:  # also keeps ctx inside galois's exp/log table limit
+        raise UnsupportedField(f"bucket enumeration capped at q <= {_BUCKET_LIMIT}")
+    if gamma == 0:
+        return mask_full(ctx.q)
+    if alpha == 0:
+        return mask_full(ctx.q) ^ 1
+    log = ctx._log
+    return _scaled_image(ctx, (log[gamma] + log[alpha]) % (ctx.q - 1))
 
 
 def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> Line:
@@ -104,8 +155,8 @@ def scalar_evolution(
     num = ctx.mul(sqrt_system.sqrt(gamma), sqrt_system.sqrt(alpha))
     den = ctx.mul(sqrt_system.sqrt(delta), sqrt_system.sqrt(beta))
     scale = ctx.div(num, den)
-    rhs = mask_of(ctx.mul(scale, y) for y in mask_elems(bucket_eval(ctx, delta, beta)))
-    return bucket_eval(ctx, gamma, alpha) == rhs
+    rhs = mask_of(ctx.mul(scale, y) for y in mask_elems(_enumerated_image(ctx, delta, beta)))
+    return _enumerated_image(ctx, gamma, alpha) == rhs
 
 
 def encode(ctx: FieldCtx, message, eval_points) -> tuple:

@@ -33,7 +33,7 @@ from qmlab.residues import (
     scaled_pair,
     scaled_pair_union_size,
 )
-from qmlab.rscode import b11, bucket_eval, scalar_evolution
+from qmlab.rscode import _enumerated_image, b11, bucket_eval, scalar_evolution
 from qmlab.shamir7 import download_cost, figure1_table, one_bit_leak, verify_gf7
 
 
@@ -127,6 +127,7 @@ def test_criterion_05_scalar_evolution():
         for g in om.elements:
             for a in om.elements:
                 ok = ok and scalar_evolution(ctx, ss, g, a, 1, 1)
+                ok = ok and bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a)
     _line(5, "every image is the root-scaled base image on supported fields",
           ok, budget=30.0, took=time.perf_counter() - t0)
 

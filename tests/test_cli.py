@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qmlab import cli
+from qmlab import cli, rscode
 from qmlab.cli import canonical_json, cmd_dispatch, read_scheme, scheme_from_obj, scheme_to_obj
 from qmlab.errors import SchemaError
 from qmlab.galois import field
@@ -140,6 +140,23 @@ def test_image_grid_is_built_only_in_text_mode(capsys, monkeypatch, argv):
     code, text = run_cli(capsys, argv)
     assert code == 0 and "evaluation point (rows) by coefficient product (columns)" in text
     assert "{2,3,4,5}" in text
+
+
+@pytest.mark.parametrize(
+    "argv", [["buckets", "--q", str(q)] for q in (3, 4, 9, 16, 25, 27, 32)] + [["gf7", "table"]]
+)
+def test_image_reports_match_direct_enumeration(capsys, monkeypatch, argv):
+    usual = run_cli(capsys, argv + ["--json"])
+    monkeypatch.setattr(cli, "bucket_eval", rscode._enumerated_image)
+    assert run_cli(capsys, argv + ["--json"]) == usual
+    assert usual[0] == 0
+
+
+def test_buckets_keeps_the_field_size_cap(capsys):
+    assert cmd_dispatch(["buckets", "--q", "2048", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bucket enumeration capped at q <= 1024\n"
 
 
 def test_scheme_roundtrip_bytes(tmp_path):

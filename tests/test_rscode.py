@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from qmlab import rscode
 from qmlab.errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
-from qmlab.galois import field, mask_of
+from qmlab.galois import field, mask_of, prime_power
 from qmlab.residues import build_sqrt_system, omega_set
 from qmlab.rscode import (
+    _enumerated_image,
     b11,
     bucket,
     bucket_eval,
@@ -70,6 +74,33 @@ def test_bucket_eval_figure_rows():
     # at alpha = 0 every nonzero bucket evaluates to the constant terms = units
     for g in ctx.units:
         assert bucket_eval(ctx, g, 0) == mask_of(ctx.units)
+
+
+def test_bucket_eval_matches_enumeration_on_every_pair():
+    # the root-scaling law against line-by-line enumeration, all q^2 pairs
+    for q in range(2, 82):
+        if prime_power(q) is None:
+            continue
+        ctx = field(q)
+        for g in ctx.elements:
+            for a in ctx.elements:
+                assert bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a), (q, g, a)
+
+
+@pytest.mark.parametrize("q", [121, 125, 128, 243])
+def test_bucket_eval_matches_enumeration_on_large_fields(q):
+    ctx = field(q)
+    rng = random.Random(q)
+    pairs = [(0, a) for a in ctx.elements] + [(g, 0) for g in ctx.elements]
+    pairs += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(200)]
+    for g, a in pairs:
+        assert bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a), (g, a)
+
+
+@pytest.mark.parametrize("gamma, alpha", [(0, 1), (1, 0), (3, 5)])
+def test_bucket_eval_keeps_the_field_size_cap(gamma, alpha):
+    with pytest.raises(UnsupportedField, match="capped at q <= 1024"):
+        bucket_eval(field(2048), gamma, alpha)
 
 
 def test_b11_frozen():
@@ -176,6 +207,20 @@ def test_scalar_evolution_exhaustive():
                 for d in om:
                     for be in om:
                         assert scalar_evolution(ctx, ss, g, a, d, be)
+
+
+def test_scalar_evolution_checks_the_law_not_bucket_eval(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("scalar_evolution read the image it checks")
+
+    monkeypatch.setattr(rscode, "bucket_eval", boom)
+    for q in (7, 8, 9):
+        ctx = field(q)
+        ss = build_sqrt_system(ctx)
+        om = omega_set(ctx).elements
+        for g in om:
+            for a in om:
+                assert scalar_evolution(ctx, ss, g, a, 1, 1)
 
 
 def test_scalar_evolution_rejects_outside():
