@@ -488,7 +488,9 @@ def cmd_qm_search(args) -> RunReport:
         raise PreconditionViolated(f"--tmax must be at least 0, got {args.tmax}")
     if args.budget < 1:
         raise PreconditionViolated(f"--budget must be at least 1, got {args.budget}")
-    servers = frozenset(args.servers) if args.servers else frozenset(ctx.elements)
+    if args.servers == []:
+        raise PreconditionViolated("--servers lists no point")
+    servers = frozenset(ctx.elements if args.servers is None else args.servers)
     got = search_min_bandwidth(
         ctx, _MODES[args.mode], servers, t_max=args.tmax, budget=args.budget
     )

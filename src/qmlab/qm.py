@@ -304,6 +304,21 @@ def _color_graph(q: int, adj, colors: int):
     return tuple(assign) if place(0) else None
 
 
+def _join_sides(lab: list, u: int, v: int) -> list:
+    """Side labels after adding edge uv to a bipartite graph.
+
+    lab[w] is 2 * component + side, and lab[u] != lab[v] (uv keeps the graph
+    bipartite).  When uv joins two components, v's component moves into u's
+    with its sides flipped as needed to put v opposite u; returns a new list
+    then, and lab itself when uv lies inside one component.
+    """
+    cu, cv = lab[u] >> 1, lab[v] >> 1
+    if cu == cv:
+        return lab
+    flip = (lab[u] ^ lab[v] ^ 1) & 1
+    return [2 * cu + ((x ^ flip) & 1) if x >> 1 == cv else x for x in lab]
+
+
 def search_min_bandwidth(
     ctx: FieldCtx,
     mode: str,
@@ -319,9 +334,11 @@ def search_min_bandwidth(
     its edges iff they are 2**b-colorable.  Returns (t, scheme) or None when
     no scheme exists within t_max; raises BudgetExceeded after `budget`
     search nodes.  Beside the committed edges it keeps, and restores on
-    backtrack, each point's max degree and probe verdicts and each
-    constraint's count of committed options, so a node neither rescans
-    degrees nor re-tests splits.
+    backtrack, each point's max degree, probe verdicts and side labels
+    (2 * component + side, see _join_sides) and each constraint's count of
+    committed options, so a node neither rescans degrees nor re-tests
+    splits.  A graph is 2-colorable iff it has no odd cycle, so a 1-bit
+    point answers its probes from the labels instead of a coloring.
     """
     if ctx.q > _SEARCH_Q_LIMIT:
         raise PreconditionViolated(f"exhaustive search capped at q <= {_SEARCH_Q_LIMIT}")
@@ -369,15 +386,21 @@ def search_min_bandwidth(
     adj = [[0] * q for _ in alphas]
     top = [0] * len(alphas)  # max degree of the committed graph at each point
     verdicts: list[dict] = [{} for _ in alphas]  # option -> colorable, per point
+    lab: list[list] = []  # side labels per point, read at 1-bit points
     split = [0] * len(constraints)  # committed options per constraint
     holders: dict[tuple, list[int]] = {}
     for ci, sig in enumerate(constraints):
         for opt in sig:
             holders.setdefault(opt, []).append(ci)
-    color_cache: dict[tuple, bool] = {}
+    color_cache: dict[tuple, bool] = {}  # verdicts for 4 or more colors only
 
     def colorable(ai: int, u: int, v: int, colors: int) -> bool:
-        """Whether the committed graph at ai plus edge uv is colors-colorable."""
+        """Whether the committed graph at ai plus edge uv is colors-colorable.
+
+        With 2 colors the committed graph is bipartite, and uv keeps it so
+        unless u and v sit on the same side of one component."""
+        if colors == 2:
+            return lab[ai][u] != lab[ai][v]
         if colors >= q:
             return True
         row = adj[ai]
@@ -427,11 +450,13 @@ def search_min_bandwidth(
         for opt in branch:
             ai, u, v = opt
             row = adj[ai]
-            saved = top[ai], verdicts[ai]
+            saved = top[ai], verdicts[ai], lab[ai]
             row[u] |= 1 << v
             row[v] |= 1 << u
             top[ai] = max(saved[0], row[u].bit_count(), row[v].bit_count())
             verdicts[ai] = {}
+            if caps[ai] == 2:
+                lab[ai] = _join_sides(lab[ai], u, v)
             for ci in holders[opt]:
                 split[ci] += 1
             if solve(caps):
@@ -440,7 +465,7 @@ def search_min_bandwidth(
                 split[ci] -= 1
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-            top[ai], verdicts[ai] = saved
+            top[ai], verdicts[ai], lab[ai] = saved
         return False
 
     def compositions(total: int, parts: int, cap: int):
@@ -460,6 +485,7 @@ def search_min_bandwidth(
                     row[v] = 0
             top[:] = [0] * len(alphas)
             verdicts[:] = [{} for _ in alphas]  # verdicts depend on the caps
+            lab[:] = [list(range(0, 2 * q, 2)) for _ in alphas]
             split[:] = [0] * len(constraints)
             caps = tuple(1 << b for b in bits)
             if solve(caps):

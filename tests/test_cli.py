@@ -351,6 +351,14 @@ def test_qm_search_rejects_out_of_range_flags(capsys, flag, value, least):
     assert code == 0 and report["found"] and report["t"] == 0
 
 
+@pytest.mark.parametrize("servers", ["--servers=", "--servers=,"])
+def test_qm_search_rejects_an_empty_server_list(capsys, servers):
+    assert cmd_dispatch(["qm", "search", "--q", "5", "--mode", "qm", servers, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --servers lists no point\n"
+
+
 def test_game_meets_floor(capsys):
     code, report = run_json(capsys, ["game", "--q", "7", "--strategy", "greedy-halving"])
     assert code == 0

@@ -21,6 +21,8 @@ from qmlab.qm import (
     QM,
     SUCCESS,
     LeakageScheme,
+    _color_graph,
+    _join_sides,
     convert_eliminator,
     leak_bit,
     mqm_check,
@@ -293,6 +295,9 @@ def test_search_appendix_gf7_beats_five_bits():
         (5, QM, range(5), 4_168),
         (8, MQM, (1, 4, 7), 998),
         (3, QM, range(3), 14),
+        (7, MQM, range(7), 109),
+        (5, APPENDIX, range(5), 245),
+        (4, QM, range(4), 970),
     ],
 )
 def test_search_node_budget_boundaries(q, mode, servers, nodes):
@@ -301,6 +306,26 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
     assert search_min_bandwidth(field(q), mode, set(servers), budget=nodes) is not None
     with pytest.raises(BudgetExceeded):
         search_min_bandwidth(field(q), mode, set(servers), budget=nodes - 1)
+
+
+@pytest.mark.parametrize("q", [5, 7, 9, 11])
+def test_side_labels_answer_two_coloring(q):
+    # random edge sequences: the label verdict must match a 2-coloring of the
+    # committed graph plus the probed edge, and only accepted edges commit
+    rng = random.Random(q)
+    for _ in range(40):
+        adj = [0] * q
+        lab = list(range(0, 2 * q, 2))
+        for _ in range(3 * q):
+            u, v = rng.sample(range(q), 2)
+            probe = adj[:]
+            probe[u] |= 1 << v
+            probe[v] |= 1 << u
+            accepted = lab[u] != lab[v]
+            assert accepted == (_color_graph(q, probe, 2) is not None)
+            if accepted:
+                adj = probe
+                lab = _join_sides(lab, u, v)
 
 
 def test_search_monotone_extension():
