@@ -10,7 +10,7 @@ rounding can never flip the verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionViolated, UnsupportedField
 from .galois import FieldCtx
@@ -65,8 +65,7 @@ def is_square_free(ctx: FieldCtx, coeffs) -> bool:
     return _degree(poly_gcd(ctx, coeffs, poly_derivative(ctx, coeffs))) == 0
 
 
-@dataclass(frozen=True)
-class CharSumReport:
+class CharSumReport(NamedTuple):
     poly: tuple
     value: int
     bound: float

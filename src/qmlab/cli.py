@@ -25,7 +25,6 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -91,8 +90,11 @@ _EXHAUSTIVE_LIMIT = 10**6
 # ---------------------------------------------------------------- reports
 
 
-def _plain(obj):
-    """Rewrite a payload into deterministic JSON-ready values."""
+def _plain(obj, flat: dict):
+    """Rewrite a payload into deterministic JSON-ready values.  `flat` maps
+    the id of each list or tuple of plain ints and strings met so far to its
+    copy, so a sequence the payload shares among many cells (the q^2 cells
+    of a `buckets` grid hold at most q + 1 distinct ones) is scanned once."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, float):
@@ -100,18 +102,22 @@ def _plain(obj):
     if isinstance(obj, int):
         return obj
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, flat) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
-        return [_plain(v) for v in sorted(obj)]
+        return [_plain(v, flat) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
+        copy = flat.get(id(obj))
+        if copy is not None:
+            return copy
         if all(type(v) is int or type(v) is str for v in obj):
-            return list(obj)
-        return [_plain(v) for v in obj]
+            copy = flat[id(obj)] = list(obj)
+            return copy
+        return [_plain(v, flat) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(_plain(obj, {}), sort_keys=True, separators=(",", ":"))
 
 
 def _text_value(v) -> str:
@@ -132,13 +138,18 @@ def _failing(bad, **fields) -> tuple:
     return not bad, {**fields, "counterexample": bad} if bad else fields
 
 
-@dataclass
 class RunReport:
-    command: str
-    payload: dict
-    checks: list
-    text_body: Callable[[], list] | None = None
-    started: float = 0.0
+    """A command's payload and named checks; cmd_dispatch stamps `started`
+    for the wall time of the text report."""
+
+    def __init__(
+        self, command: str, payload: dict, checks: list, text_body: Callable[[], list] | None = None
+    ):
+        self.command = command
+        self.payload = payload
+        self.checks = checks
+        self.text_body = text_body
+        self.started = 0.0
 
     def ok(self) -> bool:
         return all(c["pass"] for c in self.checks)
@@ -491,6 +502,16 @@ def cmd_qm_search(args) -> RunReport:
     if args.servers == []:
         raise PreconditionViolated("--servers lists no point")
     servers = frozenset(ctx.elements if args.servers is None else args.servers)
+    if args.servers is not None and _MODES[args.mode] == MQM:
+        om = omega_set(ctx)
+        outside = sorted(a for a in servers if 0 <= a < ctx.q and a not in om)
+        if outside:
+            listed = ", ".join(map(str, outside))
+            members = ", ".join(map(str, om.elements))
+            raise PreconditionViolated(
+                f"--servers {listed}: outside the restricted set {{{members}}} of"
+                f" GF({ctx.q}), the only points mqm mode queries"
+            )
     got = search_min_bandwidth(
         ctx, _MODES[args.mode], servers, t_max=args.tmax, budget=args.budget
     )
@@ -797,10 +818,14 @@ def _sc_gf7_truncations() -> tuple:
     scheme = gf7_scheme()
     surviving = []
     for z in range(scheme.t):
-        short = replace(
-            scheme,
-            schedule=scheme.schedule[:z] + scheme.schedule[z + 1 :],
-            sets=scheme.sets[:z] + scheme.sets[z + 1 :],
+        short = LeakageScheme(
+            scheme.ctx,
+            scheme.k,
+            scheme.i,
+            scheme.j,
+            scheme.servers,
+            scheme.schedule[:z] + scheme.schedule[z + 1 :],
+            scheme.sets[:z] + scheme.sets[z + 1 :],
         )
         if verify_scheme(short, scheme.ctx.units):
             surviving.append(z)

@@ -11,21 +11,27 @@ function can tell apart, which is the whole impossibility argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import PreconditionViolated
 from .galois import FieldCtx
 
 
-@dataclass(frozen=True)
-class TraceQuery:
+class _Query(NamedTuple):
     alpha: int
     gamma: int
 
-    def __post_init__(self):
-        if self.alpha == 0:
+
+class TraceQuery(_Query):
+    """Probe trace(gamma * x) of the evaluation at the unit alpha."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha: int, gamma: int):
+        if alpha == 0:
             raise PreconditionViolated("query point must be a unit")
+        return super().__new__(cls, alpha, gamma)
 
 
 def trace_leak(ctx: FieldCtx, query: TraceQuery, x: int) -> int:

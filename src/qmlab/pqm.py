@@ -6,10 +6,16 @@ set V and a bit: bit 0 removes the rescaled eliminator (1/sqrt(gamma))*V
 from every class, bit 1 removes the rescaled complement of V in the units.
 Success means at most one class is left nonempty.
 
-A round is one pass over the survivors that yields both branches: point x
-of class gamma lies in the rescaled V iff sqrt(gamma)*x is in V, and in the
-rescaled units-complement iff sqrt(gamma)*x is a unit outside V.  Its cost
-follows the surviving points, not q times the number of classes.
+Point x of class gamma lies in the rescaled V iff y = sqrt(gamma)*x is in
+V, and in the rescaled units-complement iff y is a unit outside V, so a
+round keeps or drops a whole y-cluster whatever the class.  From the start
+state, class gamma's survivors are therefore {x in B_1(1) : sqrt(gamma)*x
+in alive} for a single q-bit y-mask `alive`: bit 0 keeps alive & ~V, bit 1
+keeps alive & (V | {0}), and class gamma holds |I_gamma & alive| points,
+where I_gamma = sqrt(gamma)*B_1(1) is built once per field.  The game and
+the transcript replay advance that one mask; pqm_round, which accepts any
+survivor masks, relabels each class by sqrt(gamma) and applies the same
+rule.
 
 A bit-leakage scheme in the restricted regime translates into such an
 eliminator sequence (one per query), and the adversarial game plays the
@@ -21,21 +27,23 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from .galois import FieldCtx, mask_complement, mask_elems, mask_of
+from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
 from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
 
 STRATEGIES = ("greedy-halving", "random-set", "replay")
 
 
-@dataclass
 class PqmState:
-    classes: dict  # gamma -> q-bit mask of surviving reference values
-    rounds: int = 0
-    history: tuple = ()  # total survivors after each applied round
+    """Survivor classes after some rounds of the pruning decoder."""
+
+    def __init__(self, classes: dict, rounds: int = 0, history: tuple = ()):
+        self.classes = classes  # gamma -> q-bit mask of surviving reference values
+        self.rounds = rounds
+        self.history = history  # total survivors after each applied round
 
     def nonempty(self) -> list:
         return [g for g, m in sorted(self.classes.items()) if m]
@@ -49,37 +57,45 @@ def initial_state(ctx: FieldCtx) -> PqmState:
     return PqmState({g: mask0 for g in omega_set(ctx).elements})
 
 
-def _eliminator(ctx: FieldCtx, v_set) -> frozenset:
+def _eliminator(ctx: FieldCtx, v_set) -> int:
+    """V as a q-bit mask, after checking its entries are field elements."""
     v_set = frozenset(v_set)
     if not all(0 <= x < ctx.q for x in v_set):
         raise PreconditionViolated("eliminator entries must be field elements")
-    return v_set
+    return mask_of(v_set)
 
 
-def _branches(ctx: FieldCtx, sqrt_system: SqrtSystem, classes: dict, v_set) -> tuple:
-    """The classes after bit 0 and after bit 1, from one walk over the
-    survivors: y = sqrt(gamma)*x in V drops x on bit 0, a unit y outside V
-    drops it on bit 1, and y = 0 (x = 0 outside V) stays on both."""
+def _keep(alive: int, v_mask: int, bit: int) -> int:
+    """The y-values of `alive` a round keeps: bit 0 drops V, bit 1 drops the
+    units outside V, so y = 0 survives every bit-1 round."""
+    if bit == 0:
+        return alive & ~v_mask
+    if bit == 1:
+        return alive & (v_mask | 1)
+    raise PreconditionViolated("bit must be 0 or 1")
+
+
+def _class_images(ctx: FieldCtx, sqrt_system: SqrtSystem) -> dict:
+    """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order."""
     mul = ctx.mul
-    kept0, kept1 = {}, {}
+    ref = sorted(b11(ctx))
+    return {
+        g: mask_of(mul(sqrt_system.sqrt(g), x) for x in ref)
+        for g in omega_set(ctx).elements
+    }
+
+
+def _total(images: dict, alive: int) -> int:
+    return sum((image & alive).bit_count() for image in images.values())
+
+
+def _pull_back(ctx: FieldCtx, sqrt_system: SqrtSystem, classes: dict, keep: int) -> dict:
+    """Each class's x-mask cut down to the x with sqrt(gamma)*x in `keep`."""
+    mul = ctx.mul
+    out = {}
     for g, mask in classes.items():
         root = sqrt_system.sqrt(g)
-        drop0 = drop1 = 0
-        for x in mask_elems(mask):
-            y = mul(root, x)
-            if y in v_set:
-                drop0 |= 1 << x
-            elif y != 0:
-                drop1 |= 1 << x
-        kept0[g] = mask & ~drop0
-        kept1[g] = mask & ~drop1
-        assert (kept0[g] | kept1[g]) & ~mask == 0  # shrink only
-    return kept0, kept1
-
-
-def _advance(state: PqmState, classes: dict) -> PqmState:
-    out = PqmState(classes, state.rounds + 1)
-    out.history = state.history + (out.total(),)
+        out[g] = mask_of(x for x in mask_elems(mask) if keep >> mul(root, x) & 1)
     return out
 
 
@@ -88,10 +104,10 @@ def pqm_round(
 ) -> PqmState:
     """One pruning round: drop the rescaled V side (bit 0) or the rescaled
     units-complement of V (bit 1, so 0 is never dropped) from every class."""
-    v_set = _eliminator(ctx, v_set)
-    if bit not in (0, 1):
-        raise PreconditionViolated("bit must be 0 or 1")
-    return _advance(state, _branches(ctx, sqrt_system, state.classes, v_set)[bit])
+    keep = _keep(mask_full(ctx.q), _eliminator(ctx, v_set), bit)
+    out = PqmState(_pull_back(ctx, sqrt_system, state.classes, keep), state.rounds + 1)
+    out.history = state.history + (out.total(),)
+    return out
 
 
 def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
@@ -104,10 +120,14 @@ def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
     bits = tuple(bits)
     if len(bits) != len(v_seq):
         raise PreconditionViolated("transcript length must match the eliminators")
-    state = initial_state(ctx)
-    state.history = (state.total(),)
+    images = _class_images(ctx, sqrt_system)
+    alive = mask_full(ctx.q)
+    history = [_total(images, alive)]
     for v_set, bit in zip(v_seq, bits):
-        state = pqm_round(ctx, sqrt_system, state, v_set, bit)
+        alive = _keep(alive, _eliminator(ctx, v_set), bit)
+        history.append(_total(images, alive))
+    classes = _pull_back(ctx, sqrt_system, initial_state(ctx).classes, alive)
+    state = PqmState(classes, len(v_seq), tuple(history))
     outcome = SUCCESS if len(state.nonempty()) <= 1 else FAIL
     return outcome, state
 
@@ -172,8 +192,7 @@ def survivor_size_check(ctx: FieldCtx, state: PqmState) -> bool:
     return size <= (2 if ctx.p > 2 else 3)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     q: int
     p: int
     e: int
@@ -201,8 +220,7 @@ def _ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
-@dataclass
-class GameConfig:
+class GameConfig(NamedTuple):
     ctx: FieldCtx
     alice_strategy: str
     seed: int = 0
@@ -215,20 +233,21 @@ class GameConfig:
         return 4 * self.ctx.e * _ceil_log2(self.ctx.p)
 
 
-def _alice(config: GameConfig, sqrt_system: SqrtSystem):
-    """Per-game eliminator generator for the named strategy."""
+def _alice(config: GameConfig, images: dict):
+    """Per-game eliminator generator for the named strategy; it is called
+    with the surviving y-mask and the round index."""
     ctx = config.ctx
     if config.alice_strategy == "greedy-halving":
+        # weight of u = surviving points the bit-0 branch would drop: the
+        # cluster size #{gamma : u in I_gamma} while u is alive, 0 after;
+        # balance the two branch weights by largest-first assignment
+        cluster = [0] * ctx.q
+        for image in images.values():
+            for u in mask_elems(image):
+                cluster[u] += 1
 
-        def emit(state: PqmState, _round: int):
-            # weight of u = surviving points the bit-0 branch would drop,
-            # i.e. survivors x of a class gamma with sqrt(gamma)*x = u;
-            # balance the two branch weights by largest-first assignment
-            weight = [0] * ctx.q
-            for g, mask in state.classes.items():
-                root = sqrt_system.sqrt(g)
-                for x in mask_elems(mask):
-                    weight[ctx.mul(root, x)] += 1
+        def emit(alive: int, _round: int):
+            weight = [c if alive >> u & 1 else 0 for u, c in enumerate(cluster)]
             side_v, side_rest = 0, 0
             v = set()
             for u in sorted(range(ctx.q), key=lambda u: (-weight[u], u)):
@@ -243,14 +262,14 @@ def _alice(config: GameConfig, sqrt_system: SqrtSystem):
     if config.alice_strategy == "random-set":
         rng = random.Random(config.seed)
 
-        def emit(_state: PqmState, _round: int):
+        def emit(_alive: int, _round: int):
             return frozenset(u for u in range(ctx.q) if rng.getrandbits(1))
 
         return emit
     if config.alice_strategy == "replay":
         v_seq = tuple(config.v_seq)
 
-        def emit(_state: PqmState, round_index: int):
+        def emit(_alive: int, round_index: int):
             if round_index >= len(v_seq):
                 return None  # sequence exhausted, game cannot continue
             return v_seq[round_index]
@@ -261,38 +280,44 @@ def _alice(config: GameConfig, sqrt_system: SqrtSystem):
 
 def play_game(config: GameConfig) -> dict:
     """Alice emits eliminators, the adversary always answers with the bit
-    keeping the most survivors (ties: bit 0, logged).  Each round is one
-    pass over the survivors that sizes both branches and advances to the
-    chosen one.  Returns the full game record; rounds is math.inf when the
-    cap or an exhausted replay sequence stops the game first."""
+    keeping the most survivors (ties: bit 0, logged).  The game advances one
+    surviving y-mask: a round's branches are alive & ~V and alive & (V | {0}),
+    and a branch holds sum over gamma of |I_gamma & branch| survivors.
+    Returns the full game record; rounds is math.inf when the cap or an
+    exhausted replay sequence stops the game first."""
     ctx = config.ctx
-    ss = build_sqrt_system(ctx)
-    emit = _alice(config, ss)
-    state = initial_state(ctx)
-    state.history = (state.total(),)
+    images = _class_images(ctx, build_sqrt_system(ctx))
+    emit = _alice(config, images)
+    alive = mask_full(ctx.q)
+    history = [_total(images, alive)]
     ties = []
     played = 0
-    while len(state.nonempty()) > 1 and played < config.rounds_cap():
-        v_set = emit(state, played)
+    cap = config.rounds_cap()
+    while True:
+        left = [g for g, image in images.items() if image & alive]
+        if len(left) <= 1 or played >= cap:
+            break
+        v_set = emit(alive, played)
         if v_set is None:
             break
-        branches = _branches(ctx, ss, state.classes, _eliminator(ctx, v_set))
-        sizes = [sum(m.bit_count() for m in b.values()) for b in branches]
+        v_mask = _eliminator(ctx, v_set)
+        branches = [_keep(alive, v_mask, bit) for bit in (0, 1)]
+        sizes = [_total(images, branch) for branch in branches]
         bit = 0 if sizes[0] >= sizes[1] else 1
         if sizes[0] == sizes[1]:
             ties.append(played)
-        state = _advance(state, branches[bit])
+        alive = branches[bit]
+        history.append(sizes[bit])
         played += 1
-    finished = len(state.nonempty()) <= 1
     return {
         "q": ctx.q,
         "strategy": config.alice_strategy,
         "seed": config.seed,
-        "rounds": played if finished else math.inf,
+        "rounds": played if len(left) <= 1 else math.inf,
         "rounds_played": played,
-        "survivors": list(state.history),
+        "survivors": history,
         "ties": ties,
-        "classes_left": state.nonempty(),
+        "classes_left": left,
     }
 
 

@@ -18,7 +18,6 @@ ordered canonically so witnesses are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -41,24 +40,23 @@ INVALID_TRANSCRIPT = "invalid_transcript"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
 class LeakageScheme:
-    ctx: FieldCtx
-    k: int
-    i: int
-    j: int
-    servers: frozenset
-    schedule: tuple
-    sets: tuple  # q-bit masks, one per schedule entry
+    """Servers, a query schedule and one leakage set per scheduled query, for
+    recovering X_i * X_j from dimension-k messages.  Validated when built;
+    equal and hashed by value."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "servers", frozenset(self.servers))
-        object.__setattr__(self, "schedule", tuple(self.schedule))
-        object.__setattr__(self, "sets", tuple(self.sets))
-        q = self.ctx.q
-        if self.k < 2:
+    def __init__(self, ctx: FieldCtx, k: int, i: int, j: int, servers, schedule, sets):
+        self.ctx = ctx
+        self.k = k
+        self.i = i
+        self.j = j
+        self.servers = frozenset(servers)
+        self.schedule = tuple(schedule)
+        self.sets = tuple(sets)  # q-bit masks, one per schedule entry
+        q = ctx.q
+        if k < 2:
             raise InvalidScheme("need dimension k >= 2")
-        if not (0 <= self.i < self.k and 0 <= self.j < self.k and self.i != self.j):
+        if not (0 <= i < k and 0 <= j < k and i != j):
             raise InvalidScheme("target indices must be distinct and < k")
         if len(self.schedule) != len(self.sets):
             raise InvalidScheme("schedule and sets must have equal length")
@@ -68,6 +66,15 @@ class LeakageScheme:
             raise InvalidScheme("every scheduled point must be a server")
         if not all(0 <= m < (1 << q) for m in self.sets):
             raise InvalidScheme("each leakage set must be a q-bit mask")
+
+    def _key(self) -> tuple:
+        return (self.ctx, self.k, self.i, self.j, self.servers, self.schedule, self.sets)
+
+    def __eq__(self, other):
+        return isinstance(other, LeakageScheme) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def t(self) -> int:

@@ -19,8 +19,8 @@ two runs produce identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InvalidDelta,
@@ -35,19 +35,19 @@ P1MOD4_OR_E_EVEN = "P1MOD4_OR_E_EVEN"
 BINARY = "BINARY"
 
 
-@dataclass(frozen=True)
 class OmegaSet:
-    ctx: FieldCtx
-    kind: str  # "QR" | "W"
-    elements: tuple[int, ...]
-    omega: int | None = None
+    """The sorted members of Omega_q; omega is the primitive element w of a
+    binary field's set of even powers and None for the squares."""
+
+    def __init__(self, ctx: FieldCtx, kind: str, elements: tuple, omega: int | None = None):
+        self.ctx = ctx
+        self.kind = kind  # "QR" | "W"
+        self.elements = elements
+        self.omega = omega
+        self.member_set = frozenset(elements)
 
     def __contains__(self, x: int) -> bool:
         return x in self.member_set
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.elements)
 
 
 @lru_cache(maxsize=None)
@@ -104,10 +104,6 @@ def regime_of(ctx: FieldCtx) -> str:
     return P1MOD4_OR_E_EVEN
 
 
-def _square_roots(ctx: FieldCtx, y: int) -> list[int]:
-    return sorted(x for x in ctx.elements if ctx.mul(x, x) == y)
-
-
 def upsilon_set(ctx: FieldCtx, a: int, b: int, partial_roots: dict) -> frozenset:
     """The exclusion set {(a/b) * sqrt(g) : g a fourth power}.
 
@@ -135,8 +131,7 @@ def upsilon_set(ctx: FieldCtx, a: int, b: int, partial_roots: dict) -> frozenset
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SqrtSystem:
+class SqrtSystem(NamedTuple):
     ctx: FieldCtx
     omega_set: OmegaSet
     root: dict  # gamma -> canonical sqrt(gamma), for gamma in Omega_q
@@ -149,6 +144,14 @@ class SqrtSystem:
             raise RegimeMismatch(
                 f"{gamma} is outside the restricted set of GF({self.ctx.q})"
             ) from None
+
+
+def _square_roots(ctx: FieldCtx) -> dict:
+    """Every square's roots in ascending order, from one pass over the field."""
+    roots: dict[int, list[int]] = {}
+    for x in ctx.elements:
+        roots.setdefault(ctx.mul(x, x), []).append(x)
+    return roots
 
 
 @lru_cache(maxsize=None)
@@ -168,29 +171,28 @@ def build_sqrt_system(ctx: FieldCtx) -> SqrtSystem:
             r = ctx.mul(r, w)
     elif regime == P3MOD4_E_ODD:
         qr = _qr_set(ctx)
+        roots = _square_roots(ctx)
         for g in om.elements:
-            inside = [x for x in _square_roots(ctx, g) if x in qr]
+            inside = [x for x in roots[g] if x in qr]
             assert len(inside) == 1  # unique square root inside QR
             root[g] = inside[0]
     else:
         qr = _qr_set(ctx)
         r4 = quartic_residues(ctx)
+        roots = _square_roots(ctx)
         for g in sorted(r4):
-            root[g] = next(x for x in _square_roots(ctx, g) if x in qr)
+            root[g] = next(x for x in roots[g] if x in qr)
         # exclusion set built from the canonical square/non-square pair (1, b0)
         b0 = min(x for x in ctx.units if x not in qr)
         ups = upsilon_set(ctx, 1, b0, root)
         for g in sorted(om.member_set - r4):
-            root[g] = next(
-                x for x in _square_roots(ctx, g) if x not in qr and x not in ups
-            )
+            root[g] = next(x for x in roots[g] if x not in qr and x not in ups)
     for g, r in root.items():
         assert ctx.mul(r, r) == g
     return SqrtSystem(ctx, om, root, regime)
 
 
-@dataclass(frozen=True)
-class ScaledPair:
+class ScaledPair(NamedTuple):
     a: int
     b: int
 

@@ -35,6 +35,16 @@ def test_canonical_json_normalization():
     assert canonical_json(mixed) == '{"m":[1,true,0.5,"x"],"n":[[2,"a"],[null],[4,5]]}'
 
 
+def test_cli_import_leaves_out_dataclasses():
+    # pytest imports dataclasses itself, so compare sys.modules in a fresh interpreter
+    code = (
+        "import sys; before = set(sys.modules); import qmlab.cli; "
+        "print('dataclasses' in set(sys.modules) - before)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cmd_dispatch(["no-such-command"])
@@ -165,6 +175,16 @@ def test_scheme_roundtrip_bytes(tmp_path):
     path.write_text(canonical_json(obj))
     again = scheme_to_obj(read_scheme(str(path)))
     assert canonical_json(again) == canonical_json(obj)
+
+
+def test_scheme_roundtrip_keeps_value_and_hash():
+    scheme = gf7_scheme()
+    obj = scheme_to_obj(scheme)
+    again = scheme_from_obj(json.loads(canonical_json(obj)))
+    assert again is not scheme and again == scheme and hash(again) == hash(scheme)
+    assert len({scheme, again}) == 1
+    other = scheme_from_obj({**obj, "sets": ["7f"] + obj["sets"][1:]})
+    assert other != scheme and scheme != obj
 
 
 def test_scheme_schema_errors(tmp_path):
@@ -357,6 +377,22 @@ def test_qm_search_rejects_an_empty_server_list(capsys, servers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --servers lists no point\n"
+
+
+def test_qm_search_mqm_rejects_servers_outside_the_restricted_set(capsys):
+    argv = ["qm", "search", "--q", "7", "--mode", "mqm"]
+    for servers, named in (("0,3", "0, 3"), ("4,2,1,5", "5")):
+        assert cmd_dispatch([*argv, "--servers", servers, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --servers {named}: outside the restricted set {{1, 2, 4}} of GF(7),"
+            " the only points mqm mode queries\n"
+        )
+    # without --servers every point is offered and the search keeps the restricted ones
+    code, report = run_json(capsys, argv)
+    assert code == 0 and report["servers"] == list(range(7))
+    assert report["t"] == 3 and report["scheme"]["schedule"] == [1, 2, 4]
 
 
 def test_game_meets_floor(capsys):

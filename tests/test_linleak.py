@@ -24,8 +24,13 @@ def query_space(ctx):
 
 
 def test_query_point_must_be_a_unit():
-    with pytest.raises(PreconditionViolated):
-        TraceQuery(0, 1)
+    for g in field(8).elements:
+        with pytest.raises(PreconditionViolated):
+            TraceQuery(0, g)
+    query = TraceQuery(gamma=5, alpha=3)
+    assert (query.alpha, query.gamma) == (3, 5)
+    assert query == TraceQuery(3, 5) and hash(query) == hash(TraceQuery(3, 5))
+    assert query != TraceQuery(5, 3)
 
 
 def test_trace_leak_values():

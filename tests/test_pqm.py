@@ -125,7 +125,7 @@ def test_round_matches_scaled_eliminator_reference():
                     assert got.history == state.history + (got.total(),)
 
 
-def reference_game(ctx, strategy, seed):
+def reference_game(ctx, strategy, seed, max_rounds=None, v_seq=()):
     """The game loop as three scaled-eliminator rounds per round (both branch
     sizes, then the chosen branch) with greedy weights summed over (u, class)."""
     ss = build_sqrt_system(ctx)
@@ -134,9 +134,13 @@ def reference_game(ctx, strategy, seed):
     history = [sum(m.bit_count() for m in classes.values())]
     ties = []
     played = 0
-    cap = 4 * ctx.e * (ctx.p - 1).bit_length()
+    cap = 4 * ctx.e * (ctx.p - 1).bit_length() if max_rounds is None else max_rounds
     while sum(1 for m in classes.values() if m) > 1 and played < cap:
-        if strategy == "greedy-halving":
+        if strategy == "replay":
+            if played == len(v_seq):
+                break
+            v_set = v_seq[played]
+        elif strategy == "greedy-halving":
             weight = {}
             for u in range(ctx.q):
                 weight[u] = sum(
@@ -178,10 +182,40 @@ def reference_game(ctx, strategy, seed):
 def test_game_matches_three_call_reference():
     for q in REFERENCE_Q:
         ctx = field(q)
-        runs = [("greedy-halving", 0)] + [("random-set", s) for s in range(5)]
-        for strategy, seed in runs:
-            record = play_game(GameConfig(ctx, strategy, seed=seed))
-            assert record == reference_game(ctx, strategy, seed), (q, strategy, seed)
+        rng = random.Random(q)
+        v_long = tuple(frozenset(u for u in range(q) if rng.getrandbits(1)) for _ in range(40))
+        runs = [("greedy-halving", 0, None, ())] + [("random-set", s, None, ()) for s in range(5)]
+        # round caps, including 0, which the API accepts
+        runs += [("greedy-halving", 0, cap, ()) for cap in (0, 1, 3)]
+        runs += [("random-set", 2, cap, ()) for cap in (0, 2)]
+        # replay: a sequence exhausted after 3 rounds, an empty one, a long
+        # one the game ends or the round cap stops, and a capped one
+        runs += [("replay", 0, None, v) for v in (v_long[:3], (), v_long)]
+        runs += [("replay", 0, 2, v_long)]
+        for strategy, seed, cap, v_seq in runs:
+            config = GameConfig(ctx, strategy, seed=seed, max_rounds=cap, v_seq=v_seq)
+            want = reference_game(ctx, strategy, seed, max_rounds=cap, v_seq=v_seq)
+            assert play_game(config) == want, (q, strategy, seed, cap, len(v_seq))
+
+
+def test_run_pqm_matches_round_by_round_reference():
+    for q in REFERENCE_Q:
+        ctx = field(q)
+        ss = build_sqrt_system(ctx)
+        rng = random.Random(q + 1)
+        for n in (1, 4, 9):
+            v_seq = [frozenset(u for u in range(q) if rng.getrandbits(1)) for _ in range(n)]
+            bits = [rng.getrandbits(1) for _ in range(n)]
+            classes = initial_state(ctx).classes
+            history = [sum(m.bit_count() for m in classes.values())]
+            for v_set, bit in zip(v_seq, bits):
+                classes = reference_round(ctx, ss, classes, v_set, bit)
+                history.append(sum(m.bit_count() for m in classes.values()))
+            outcome, state = run_pqm(ctx, ss, v_seq, bits)
+            assert state.classes == classes and list(state.classes) == list(classes)
+            assert state.history == tuple(history) and state.rounds == n
+            left = sum(1 for m in classes.values() if m)
+            assert outcome == (SUCCESS if left <= 1 else FAIL), (q, n)
 
 
 def test_run_pqm_trivial_cases():
