@@ -25,6 +25,7 @@ import math
 import random
 import sys
 import time
+from contextlib import nullcontext
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -1036,7 +1037,14 @@ def _suite_rows(qmax: int, seed: int) -> list:
 def cmd_suite(args) -> RunReport:
     if args.qmax < 3:
         raise PreconditionViolated(f"--qmax must be at least 3, got {args.qmax}")
-    checks = [_run_row(row) for row in _suite_rows(args.qmax, args.seed)]
+    checks = []
+    # opened before the battery runs, so an unwritable path costs no work
+    with open(args.timings, "w", encoding="utf-8") if args.timings else nullcontext() as timings:
+        for row in _suite_rows(args.qmax, args.seed):
+            start = time.perf_counter()
+            checks.append(_run_row(row))
+            if timings is not None:
+                timings.write(f"{time.perf_counter() - start:.6f}\n")
     payload = {
         "qmax": args.qmax,
         "seed": args.seed,
@@ -1133,6 +1141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = leaf(sub, "suite", cmd_suite, "full verification battery")
     seed_flag(sp)
     sp.add_argument("--qmax", type=int, default=64, help="largest field size to cover")
+    sp.add_argument("--timings", metavar="FILE", default=None,
+                    help="write each check's wall time in seconds to FILE, in report order")
     return parser
 
 

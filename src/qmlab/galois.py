@@ -394,6 +394,28 @@ def mask_elems(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def scale_elems(ctx: FieldCtx, c: int, xs) -> list[int]:
+    """[c*x for x in xs], one shift in the exponent per element on tabled fields.
+
+    log(c) + log(x) lies in [0, 2(q - 1) - 2], so the sum minus (q - 1) is a
+    valid index into exp whose negative values wrap to the sum mod (q - 1)
+    without a modulo.  Fields above the table limit multiply directly.
+    """
+    if c == 0:
+        return [0] * len(xs)
+    exp, log = ctx._exp, ctx._log
+    if exp is None:
+        mul = ctx.mul
+        return [mul(c, x) for x in xs]
+    shift = log[c] - (ctx.q - 1)
+    return [exp[log[x] + shift] if x else 0 for x in xs]
+
+
+def scale_mask(ctx: FieldCtx, c: int, mask: int) -> int:
+    """The mask of c*S for the set S that `mask` holds."""
+    return mask_of(scale_elems(ctx, c, mask_elems(mask)))
+
+
 def mask_full(q: int) -> int:
     return (1 << q) - 1
 

@@ -30,7 +30,7 @@ import random
 from typing import NamedTuple
 
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of
+from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of, scale_mask
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
 from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
 
@@ -77,12 +77,8 @@ def _keep(alive: int, v_mask: int, bit: int) -> int:
 
 def _class_images(ctx: FieldCtx, sqrt_system: SqrtSystem) -> dict:
     """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order."""
-    mul = ctx.mul
-    ref = sorted(b11(ctx))
-    return {
-        g: mask_of(mul(sqrt_system.sqrt(g), x) for x in ref)
-        for g in omega_set(ctx).elements
-    }
+    ref = mask_of(b11(ctx))
+    return {g: scale_mask(ctx, sqrt_system.sqrt(g), ref) for g in omega_set(ctx).elements}
 
 
 def _total(images: dict, alive: int) -> int:

@@ -22,9 +22,16 @@ For odd p, eps = k mod 2 and r = g^((k - eps)/2), so there are two base
 images, B_1(1) and B_g(1).  For p = 2, q - 1 is odd, so eps = 0 and
 r = g^(k * 2^-1 mod (q - 1)).  B_{g^eps}(1) is closed under negation, so
 either square root gives the same image.  A field therefore builds at most
-q - 1 images, one per k.  Direct enumeration of a bucket, line by line,
-stays as the private reference `_enumerated_image`: it supplies the two
-bases, and `scalar_evolution` and the tests check the law against it.
+q - 1 images, one per k.
+
+Direct evaluation of every line of a bucket stays as the private reference
+`_enumerated_image`: it supplies the two bases, and `scalar_evolution` and
+the tests check the law against it.  It evaluates a bucket's lines in bulk,
+m*alpha + b for all of them at once: the slopes and intercepts are read from
+`bucket(gamma)` once per gamma, the slopes are scaled by alpha with
+`galois.scale_elems` and the intercepts added elementwise.  This is still one
+evaluation per line of the bucket; it reads neither the law nor the images
+built from it, so the check compares two independent computations.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
-from .galois import FieldCtx, mask_elems, mask_full, mask_of
+from .galois import FieldCtx, mask_full, mask_of, scale_elems, scale_mask
 from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
@@ -80,12 +87,22 @@ def bucket(ctx: FieldCtx, gamma: int) -> frozenset:
 
 
 @lru_cache(maxsize=None)
+def _bucket_columns(ctx: FieldCtx, gamma: int) -> tuple:
+    """(slopes, intercepts) of bucket(gamma), in the same line order."""
+    slopes, intercepts, _products = zip(*bucket(ctx, gamma))
+    return slopes, intercepts
+
+
+@lru_cache(maxsize=None)
 def _enumerated_image(ctx: FieldCtx, gamma: int, alpha: int) -> int:
-    """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket."""
-    mask = 0
-    for line in bucket(ctx, gamma):
-        mask |= 1 << line_eval(ctx, line, alpha)
-    return mask
+    """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket.
+
+    Every line at once: the slopes times alpha through `scale_elems`, plus
+    each line's intercept through `ctx.add`.  It never reads `_scaled_image`
+    or `bucket_eval`, so it stays independent of the law it checks.
+    """
+    slopes, intercepts = _bucket_columns(ctx, gamma)
+    return mask_of(map(ctx.add, scale_elems(ctx, alpha, slopes), intercepts))
 
 
 @lru_cache(maxsize=None)
@@ -97,12 +114,7 @@ def _scaled_image(ctx: FieldCtx, k: int) -> int:
     else:
         eps = k % 2
         log_r = (k - eps) // 2
-    base = _enumerated_image(ctx, ctx._exp[eps], 1)
-    exp, log = ctx._exp, ctx._log
-    mask = base & 1  # r * 0 = 0
-    for y in mask_elems(base & ~1):
-        mask |= 1 << exp[(log[y] + log_r) % n]
-    return mask
+    return scale_mask(ctx, ctx._exp[log_r], _enumerated_image(ctx, ctx._exp[eps], 1))
 
 
 @lru_cache(maxsize=None)
@@ -139,6 +151,12 @@ def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> L
     return out
 
 
+@lru_cache(maxsize=None)
+def _rescaled_image(ctx: FieldCtx, scale: int, delta: int, beta: int) -> int:
+    """scale * B_delta(beta), from the direct reference; at most q - 1 scales."""
+    return scale_mask(ctx, scale, _enumerated_image(ctx, delta, beta))
+
+
 def scalar_evolution(
     ctx: FieldCtx,
     sqrt_system: SqrtSystem,
@@ -154,8 +172,7 @@ def scalar_evolution(
             raise RegimeMismatch(f"{v} outside the restricted set")
     num = ctx.mul(sqrt_system.sqrt(gamma), sqrt_system.sqrt(alpha))
     den = ctx.mul(sqrt_system.sqrt(delta), sqrt_system.sqrt(beta))
-    scale = ctx.div(num, den)
-    rhs = mask_of(ctx.mul(scale, y) for y in mask_elems(_enumerated_image(ctx, delta, beta)))
+    rhs = _rescaled_image(ctx, ctx.div(num, den), delta, beta)
     return _enumerated_image(ctx, gamma, alpha) == rhs
 
 

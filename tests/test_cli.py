@@ -1,7 +1,9 @@
+import hashlib
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -494,3 +496,37 @@ def test_text_report_shows_wall_time(capsys):
     code, out = run_cli(capsys, ["bound", "--q", "7"])
     assert code == 0
     assert "wall time" in out and "wall time" not in canonical_json({})
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "suite --qmax 64 --seed 0 --json",
+        "buckets --q 49 --json",
+        "game --q 121 --strategy greedy-halving --seed 0 --json",
+    ],
+)
+def test_reports_match_the_benchmark_digests(capsys, command):
+    # the SHA-256 of stdout that perfbench/expected.json records for a fresh process
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))["reports"][command]
+    _, out = run_cli(capsys, command.split())
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded
+
+
+def test_suite_timings_file_leaves_json_unchanged(capsys, tmp_path):
+    argv = ["suite", "--qmax", "5", "--json"]
+    code, plain = run_cli(capsys, argv)
+    timings = tmp_path / "timings.txt"
+    code_timed, timed = run_cli(capsys, argv + ["--timings", str(timings)])
+    assert (code_timed, timed) == (code, plain)
+    walls = timings.read_text(encoding="utf-8").splitlines()
+    assert len(walls) == len(json.loads(plain)["checks"])
+    assert all(float(w) >= 0 for w in walls)
+
+
+def test_suite_timings_unwritable_path_exits_2(capsys, tmp_path):
+    code = cmd_dispatch(["suite", "--qmax", "3", "--timings", str(tmp_path / "no" / "t.txt")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -20,6 +20,8 @@ from qmlab.galois import (
     mask_of,
     mask_to_hex,
     prime_power,
+    scale_elems,
+    scale_mask,
 )
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64, 81, 121, 125, 128]
@@ -251,3 +253,16 @@ def test_poly_eval():
     assert f7.poly_eval((2, 3), 1) == 5
     assert f7.poly_eval((2, 3), 2) == 1
     assert f7.poly_eval((0, 0, 1), 5) == 4  # x^2 at 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 25, 64, 81, 243, 6561, 8192])
+def test_scale_kernel_matches_mul(q):
+    # tabled fields shift logs; 6561 and 8192 lie above the table limit
+    ctx = field(q)
+    rng = random.Random(q)
+    xs = list(ctx.elements) if q <= 256 else [0, 1, q - 1] + rng.sample(range(q), 100)
+    cs = list(ctx.elements) if q <= 81 else [0, 1, q - 1] + rng.sample(range(q), 8)
+    for c in cs:
+        want = [ctx.mul(c, x) for x in xs]
+        assert scale_elems(ctx, c, xs) == want, (q, c)
+        assert scale_mask(ctx, c, mask_of(xs)) == mask_of(want), (q, c)

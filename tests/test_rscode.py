@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from qmlab import rscode
+from qmlab import cli, rscode
 from qmlab.errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
 from qmlab.galois import field, mask_of, prime_power
 from qmlab.residues import build_sqrt_system, omega_set
@@ -95,6 +96,43 @@ def test_bucket_eval_matches_enumeration_on_large_fields(q):
     pairs += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(200)]
     for g, a in pairs:
         assert bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a), (g, a)
+
+
+def _line_by_line(ctx, gamma, alpha):
+    return mask_of(line_eval(ctx, line, alpha) for line in bucket(ctx, gamma))
+
+
+def test_enumerated_image_matches_line_by_line_on_every_pair():
+    for q in range(2, 33):
+        if prime_power(q) is None:
+            continue
+        ctx = field(q)
+        for g in ctx.elements:
+            for a in ctx.elements:
+                assert _enumerated_image(ctx, g, a) == _line_by_line(ctx, g, a), (q, g, a)
+
+
+@pytest.mark.parametrize("q", [49, 64, 81, 121, 243])
+def test_enumerated_image_matches_line_by_line_on_seeded_pairs(q):
+    ctx = field(q)
+    rng = random.Random(q)
+    pairs = [(0, 0), (0, rng.randrange(1, q)), (rng.randrange(1, q), 0)]
+    pairs += [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(40)]
+    for g, a in pairs:
+        assert _enumerated_image(ctx, g, a) == _line_by_line(ctx, g, a), (g, a)
+
+
+def test_enumerated_image_never_reads_the_scaling_law(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("the reference read the image it is checked against")
+
+    monkeypatch.setattr(rscode, "_scaled_image", boom)
+    monkeypatch.setattr(rscode, "bucket_eval", boom)
+    for q in (7, 8, 9, 16):
+        ctx = field(q)
+        for g in ctx.elements:
+            for a in ctx.elements:
+                assert rscode._enumerated_image.__wrapped__(ctx, g, a) == _line_by_line(ctx, g, a)
 
 
 @pytest.mark.parametrize("gamma, alpha", [(0, 1), (1, 0), (3, 5)])
@@ -221,6 +259,39 @@ def test_scalar_evolution_checks_the_law_not_bucket_eval(monkeypatch):
         for g in om:
             for a in om:
                 assert scalar_evolution(ctx, ss, g, a, 1, 1)
+
+
+def _tampered_sqrt_system(ctx, gamma, factor):
+    """The canonical system with sqrt(gamma) multiplied by factor (not +-1)."""
+    ss = build_sqrt_system(ctx)
+    assert factor not in (1, ctx.neg(1))
+    return ss._replace(root={**ss.root, gamma: ctx.mul(factor, ss.root[gamma])})
+
+
+def test_scalar_evolution_detects_a_wrong_root():
+    ctx = field(7)
+    bad = _tampered_sqrt_system(ctx, 2, 2)
+    om = omega_set(ctx).elements
+    assert not scalar_evolution(ctx, bad, 2, 1, 1, 1)
+    assert not scalar_evolution(ctx, bad, 1, 1, 2, 1)
+    # pairs that never read the tampered root still agree
+    assert all(scalar_evolution(ctx, bad, g, a, 1, 1) for g in om for a in om if 2 not in (g, a))
+
+
+def test_scalar_evolution_row_fails_on_a_wrong_root(capsys, monkeypatch):
+    ctx = field(7)
+    bad = _tampered_sqrt_system(ctx, 2, 2)
+    real = cli.build_sqrt_system
+    monkeypatch.setattr(cli, "build_sqrt_system", lambda c: bad if c == ctx else real(c))
+    code = cli.cmd_dispatch(["suite", "--qmax", "7", "--json"])
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert code == 1
+    row = rows["scalar-evolution-gf7"]
+    assert not row["pass"]
+    witness = row["counterexample"]
+    assert set(witness) == {"gamma", "alpha"}
+    assert 2 in (witness["gamma"], witness["alpha"])
+    assert not scalar_evolution(ctx, bad, witness["gamma"], witness["alpha"], 1, 1)
 
 
 def test_scalar_evolution_rejects_outside():
