@@ -91,34 +91,48 @@ _EXHAUSTIVE_LIMIT = 10**6
 # ---------------------------------------------------------------- reports
 
 
-def _plain(obj, flat: dict):
-    """Rewrite a payload into deterministic JSON-ready values.  `flat` maps
-    the id of each list or tuple of plain ints and strings met so far to its
-    copy, so a sequence the payload shares among many cells (the q^2 cells
-    of a `buckets` grid hold at most q + 1 distinct ones) is scanned once."""
-    if obj is None or isinstance(obj, (bool, str)):
-        return obj
-    if isinstance(obj, float):
-        return round(obj, 6) if math.isfinite(obj) else None
-    if isinstance(obj, int):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _plain(v, flat) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return [_plain(v, flat) for v in sorted(obj)]
+_escape = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _render(obj, memo: dict) -> str:
+    """The canonical JSON text of a payload value.  `memo` maps the id of
+    each list or tuple of plain ints met so far to its text, so a sequence
+    the payload shares among many cells (the q^2 cells of a `buckets` grid
+    hold at most q + 1 distinct ones) is rendered once.  Only objects the
+    payload holds enter it: they stay alive for the walk, so ids are not
+    reused."""
+    if isinstance(obj, str):
+        return _escape(obj)
     if isinstance(obj, (list, tuple)):
-        copy = flat.get(id(obj))
-        if copy is not None:
-            return copy
-        if all(type(v) is int or type(v) is str for v in obj):
-            copy = flat[id(obj)] = list(obj)
-            return copy
-        return [_plain(v, flat) for v in obj]
+        text = memo.get(id(obj))
+        if text is None:
+            if all(type(v) is int for v in obj):
+                text = memo[id(obj)] = "[" + ",".join(map(int.__repr__, obj)) + "]"
+            else:
+                text = "[" + ",".join([_render(v, memo) for v in obj]) + "]"
+        return text
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return float.__repr__(round(obj, 6)) if math.isfinite(obj) else "null"
+    if isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        pairs = [_escape(k) + ":" + _render(items[k], memo) for k in sorted(items)]
+        return "{" + ",".join(pairs) + "}"
+    if isinstance(obj, (set, frozenset)):
+        return "[" + ",".join([_render(v, memo) for v in sorted(obj)]) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_plain(obj, {}), sort_keys=True, separators=(",", ":"))
+    """Sorted string keys, compact separators, sets sorted, tuples as
+    arrays, floats rounded to six decimals, non-finite numbers as null and
+    non-ASCII escaped: byte-identical for equal payloads."""
+    return _render(obj, {})
 
 
 def _text_value(v) -> str:
@@ -307,14 +321,18 @@ def _field_from_args(args) -> FieldCtx:
 
 
 def _grid_lines(ctx: FieldCtx, cells: dict) -> list:
-    """cells maps (point, product) to a sorted tuple of field elements."""
-    text = {key: "{" + ",".join(str(x) for x in val) + "}" for key, val in cells.items()}
+    """cells maps (point, product) to a sorted tuple of field elements.  Each
+    distinct tuple object is formatted once: a `buckets` grid shares at most
+    q + 1 among its q^2 cells."""
+    distinct = {id(val): val for val in cells.values()}
+    text = {key: "{" + ",".join(map(str, val)) + "}" for key, val in distinct.items()}
     labels = [str(g) for g in ctx.elements]
     width = max(max(len(v) for v in text.values()), max(len(l) for l in labels))
+    padded = {key: s.rjust(width) for key, s in text.items()}
     lines = ["evaluation point (rows) by coefficient product (columns)"]
     lines.append("     " + " ".join(l.rjust(width) for l in labels))
     for a in ctx.elements:
-        row = " ".join(text[(a, g)].rjust(width) for g in ctx.elements)
+        row = " ".join([padded[id(cells[(a, g)])] for g in ctx.elements])
         lines.append(f"{a:>4} " + row)
     return lines
 

@@ -167,6 +167,8 @@ class FieldCtx:
         self.e = e
         self.q = q
         self.irreducible = irreducible
+        # every lru_cache keyed by a context hashes it; compute that once
+        self._hash = hash((p, e, irreducible))
         self._exp = None  # exp/log tables, built for small fields
         self._log = None
         self._zech = None  # Zech logarithms, for tabled odd-p extension fields
@@ -182,7 +184,7 @@ class FieldCtx:
         )
 
     def __hash__(self):
-        return hash((self.p, self.e, self.irreducible))
+        return self._hash
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, e={self.e})"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -30,11 +31,90 @@ def run_json(capsys, argv):
 def test_canonical_json_normalization():
     blob = {"b": float("inf"), "a": 0.1234567, "s": frozenset({3, 1}), "t": (1, 2)}
     assert canonical_json(blob) == '{"a":0.123457,"b":null,"s":[1,3],"t":[1,2]}'
-    with pytest.raises(TypeError):
-        canonical_json(object())
-    # lists mixing plain values with ones that need rewriting keep the full path
+    for bad in (object(), {"a": [1, object()]}, (1, {2}, b"bytes")):
+        with pytest.raises(TypeError):
+            canonical_json(bad)
+    # lists mixing ints with other values are rendered element by element
     mixed = {"m": [1, True, 0.5, "x"], "n": [(2, "a"), [float("nan")], {5, 4}]}
     assert canonical_json(mixed) == '{"m":[1,true,0.5,"x"],"n":[[2,"a"],[null],[4,5]]}'
+    assert canonical_json({True: 1, 2: True}) == '{"2":true,"True":1}'
+    # 0.1234565 is stored just below the half, so round() goes down
+    assert canonical_json([-0.0, 1e-7, 0.1234565, 1e22]) == "[-0.0,0.0,0.123456,1e+22]"
+    assert canonical_json("\u00e9\n") == '"\\u00e9\\n"'
+
+
+def _plain(obj, flat: dict):
+    """The reference: rewrite a payload into values json.dumps encodes
+    canonically.  `flat` maps the id of each list or tuple of plain ints and
+    strings met so far to its copy."""
+    if obj is None or isinstance(obj, (bool, str)):
+        return obj
+    if isinstance(obj, float):
+        return round(obj, 6) if math.isfinite(obj) else None
+    if isinstance(obj, int):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _plain(v, flat) for k, v in obj.items()}
+    if isinstance(obj, (set, frozenset)):
+        return [_plain(v, flat) for v in sorted(obj)]
+    if isinstance(obj, (list, tuple)):
+        copy = flat.get(id(obj))
+        if copy is not None:
+            return copy
+        if all(type(v) is int or type(v) is str for v in obj):
+            copy = flat[id(obj)] = list(obj)
+            return copy
+        return [_plain(v, flat) for v in obj]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _stdlib_json(obj) -> str:
+    return json.dumps(_plain(obj, {}), sort_keys=True, separators=(",", ":"))
+
+
+_SHARED = (4, 5, 6)
+_EDGE_PAYLOADS = [
+    {"neg0": -0.0, "tiny": 1e-7, "half": 0.1234565, "big": 1e22, "nan": float("nan"),
+     "inf": float("inf"), "-inf": float("-inf"), "floats": (2.5e-7, -1e300, 3.0)},
+    {"t": (True, 1, False), "bools": [True, False], "lone": (False,), True: "T", False: 0},
+    {3: "three", 10: "ten", -1: "minus", 2**70: 2**70, "3": "later key wins", "i": [-5, 10**30]},
+    {"caf\u00e9 \"q\" \\ \x00\x1f\n\u2028 \U0001d11e": "na\u00efve \"q\" \\ \t\x7f\u00ff \U0001f600",
+     "list": ["\u00e9", "\x01", "plain"]},
+    {"s": {frozenset({3, 1})}, "l": [{2, 1}, {(2, "b"), (1, "a")}], "e": [set(), frozenset()]},
+    {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}], "d": (_SHARED, _SHARED), "e": [_SHARED, 1]},
+    {"m": [1, "x", True, 2], "n": (1, True), "o": [1, 2.5], "p": [], "q": (), "r": [None, 1]},
+    [[1, 2], (3, "4"), [[5], [True]], "top", None, 0.5],
+]
+
+
+@pytest.mark.parametrize("payload", _EDGE_PAYLOADS)
+def test_canonical_json_matches_the_stdlib_encoder(payload):
+    assert canonical_json(payload) == _stdlib_json(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["buckets", "--q", str(q)] for q in (3, 4, 9, 16)]
+    + [
+        ["gf7", "table"],
+        ["suite", "--qmax", "16"],
+        ["bound", "--q", "2"],
+        ["qm", "search", "--q", "5"],
+        ["game", "--q", "7"],
+        ["linleak", "check", "--q", "8"],
+    ],
+)
+def test_reports_render_as_the_stdlib_encoder(capsys, monkeypatch, argv):
+    rendered = []
+
+    def recording(obj):
+        rendered.append(obj)
+        return canonical_json(obj)
+
+    monkeypatch.setattr(cli, "canonical_json", recording)
+    _, out = run_cli(capsys, argv + ["--json"])
+    # the report is rendered last; suite's scheme round-trip row renders too
+    assert out == _stdlib_json(rendered[-1]) + "\n"
 
 
 def test_cli_import_leaves_out_dataclasses():
@@ -152,6 +232,31 @@ def test_image_grid_is_built_only_in_text_mode(capsys, monkeypatch, argv):
     code, text = run_cli(capsys, argv)
     assert code == 0 and "evaluation point (rows) by coefficient product (columns)" in text
     assert "{2,3,4,5}" in text
+
+
+def _grid_lines_per_cell(ctx, cells):
+    """The reference text grid, each of the q^2 cells formatted on its own."""
+    text = {key: "{" + ",".join(str(x) for x in val) + "}" for key, val in cells.items()}
+    labels = [str(g) for g in ctx.elements]
+    width = max(max(len(v) for v in text.values()), max(len(l) for l in labels))
+    lines = ["evaluation point (rows) by coefficient product (columns)"]
+    lines.append("     " + " ".join(l.rjust(width) for l in labels))
+    for a in ctx.elements:
+        row = " ".join(text[(a, g)].rjust(width) for g in ctx.elements)
+        lines.append(f"{a:>4} " + row)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "argv", [["buckets", "--q", str(q)] for q in (9, 16, 27)] + [["gf7", "table"]]
+)
+def test_image_grid_text_matches_per_cell_formatting(capsys, monkeypatch, argv):
+    code, out = run_cli(capsys, argv)
+    monkeypatch.setattr(cli, "_grid_lines", _grid_lines_per_cell)
+    reference = run_cli(capsys, argv)
+    # byte-identical but for the wall-time line
+    assert (code, out.splitlines()[:-1]) == (reference[0], reference[1].splitlines()[:-1])
+    assert out.splitlines()[-1].startswith("wall time")
 
 
 @pytest.mark.parametrize(
@@ -503,6 +608,8 @@ def test_text_report_shows_wall_time(capsys):
     [
         "suite --qmax 64 --seed 0 --json",
         "buckets --q 49 --json",
+        "buckets --q 64 --json",
+        "buckets --q 81 --json",
         "game --q 121 --strategy greedy-halving --seed 0 --json",
     ],
 )

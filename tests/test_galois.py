@@ -54,6 +54,19 @@ def test_bad_construction():
         field(1)
 
 
+def test_equal_contexts_share_one_cache_entry():
+    # the hash is taken once at construction; equality still compares (p, e, irreducible)
+    a, b = FieldCtx(3, 2), FieldCtx(3, 2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != FieldCtx(3, 2, irreducible=(2, 1, 1))  # x^2+x+2, also irreducible
+    find_primitive(a)
+    before = find_primitive.cache_info()
+    assert find_primitive(b) == find_primitive(a)
+    after = find_primitive.cache_info()
+    assert after.hits - before.hits == 2
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+
 def test_oversized_fields_rejected_before_factoring():
     # a prime this large would take far too long to trial-divide
     big = 1_000_000_000_000_000_003
