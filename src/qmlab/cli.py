@@ -48,7 +48,6 @@ from .linleak import TraceQuery, linear_impossibility_check
 from .pqm import (
     STRATEGIES,
     GameConfig,
-    adversarial_game,
     bandwidth_bound,
     mqm_to_pqm,
     play_game,
@@ -963,12 +962,12 @@ def _sc_game_floor(q: int, seed: int) -> tuple:
     floor = bandwidth_bound(ctx).integer_round_bound
     rounds = {}
     for strategy in ("greedy-halving", "random-set"):
-        rounds[strategy] = adversarial_game(GameConfig(ctx, strategy, seed=seed))
+        rounds[strategy] = play_game(GameConfig(ctx, strategy, seed=seed))["rounds"]
     if q == 7:
         _, scheme = _searched_gf7()
-        rounds["replay"] = adversarial_game(
+        rounds["replay"] = play_game(
             GameConfig(ctx, "replay", seed=seed, v_seq=mqm_to_pqm(scheme))
-        )
+        )["rounds"]
     return all(r >= floor for r in rounds.values()), {"floor": floor, "rounds": rounds}
 
 

@@ -8,14 +8,12 @@ Success means at most one class is left nonempty.
 
 Point x of class gamma lies in the rescaled V iff y = sqrt(gamma)*x is in
 V, and in the rescaled units-complement iff y is a unit outside V, so a
-round keeps or drops a whole y-cluster whatever the class.  From the start
-state, class gamma's survivors are therefore {x in B_1(1) : sqrt(gamma)*x
-in alive} for a single q-bit y-mask `alive`: bit 0 keeps alive & ~V, bit 1
-keeps alive & (V | {0}), and class gamma holds |I_gamma & alive| points,
-where I_gamma = sqrt(gamma)*B_1(1) is built once per field.  The game and
-the transcript replay advance that one mask; pqm_round, which accepts any
-survivor masks, relabels each class by sqrt(gamma) and applies the same
-rule.
+round keeps or drops a whole y-cluster whatever the class.  The survivors
+are therefore one q-bit y-mask `alive`, starting full: bit 0 keeps
+alive & ~V, bit 1 keeps alive & (V | {0}).  With the class image
+I_gamma = sqrt(gamma)*B_1(1), built once per field, class gamma holds
+|I_gamma & alive| points, and its x-values are (1/sqrt(gamma))*(I_gamma &
+alive).  The game and the transcript replay advance that one mask.
 
 A bit-leakage scheme in the restricted regime translates into such an
 eliminator sequence (one per query), and the adversarial game plays the
@@ -37,24 +35,15 @@ from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
 STRATEGIES = ("greedy-halving", "random-set", "replay")
 
 
-class PqmState:
+class PqmState(NamedTuple):
     """Survivor classes after some rounds of the pruning decoder."""
 
-    def __init__(self, classes: dict, rounds: int = 0, history: tuple = ()):
-        self.classes = classes  # gamma -> q-bit mask of surviving reference values
-        self.rounds = rounds
-        self.history = history  # total survivors after each applied round
+    classes: dict  # gamma -> q-bit mask of surviving reference values
+    rounds: int
+    history: tuple  # total survivors at the start and after each round
 
     def nonempty(self) -> list:
         return [g for g, m in sorted(self.classes.items()) if m]
-
-    def total(self) -> int:
-        return sum(m.bit_count() for m in self.classes.values())
-
-
-def initial_state(ctx: FieldCtx) -> PqmState:
-    mask0 = mask_of(b11(ctx))
-    return PqmState({g: mask0 for g in omega_set(ctx).elements})
 
 
 def _eliminator(ctx: FieldCtx, v_set) -> int:
@@ -85,32 +74,12 @@ def _total(images: dict, alive: int) -> int:
     return sum((image & alive).bit_count() for image in images.values())
 
 
-def _pull_back(ctx: FieldCtx, sqrt_system: SqrtSystem, classes: dict, keep: int) -> dict:
-    """Each class's x-mask cut down to the x with sqrt(gamma)*x in `keep`."""
-    mul = ctx.mul
-    out = {}
-    for g, mask in classes.items():
-        root = sqrt_system.sqrt(g)
-        out[g] = mask_of(x for x in mask_elems(mask) if keep >> mul(root, x) & 1)
-    return out
-
-
-def pqm_round(
-    ctx: FieldCtx, sqrt_system: SqrtSystem, state: PqmState, v_set, bit: int
-) -> PqmState:
-    """One pruning round: drop the rescaled V side (bit 0) or the rescaled
-    units-complement of V (bit 1, so 0 is never dropped) from every class."""
-    keep = _keep(mask_full(ctx.q), _eliminator(ctx, v_set), bit)
-    out = PqmState(_pull_back(ctx, sqrt_system, state.classes, keep), state.rounds + 1)
-    out.history = state.history + (out.total(),)
-    return out
-
-
 def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
     """Replay a transcript against the eliminator sequence.
 
     Returns (outcome, final state); the outcome is success exactly when at
-    most one class survives.
+    most one class survives.  Class gamma's final x-mask is
+    (1/sqrt(gamma))*(I_gamma & alive).
     """
     v_seq = tuple(v_seq)
     bits = tuple(bits)
@@ -122,7 +91,10 @@ def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
     for v_set, bit in zip(v_seq, bits):
         alive = _keep(alive, _eliminator(ctx, v_set), bit)
         history.append(_total(images, alive))
-    classes = _pull_back(ctx, sqrt_system, initial_state(ctx).classes, alive)
+    classes = {
+        g: scale_mask(ctx, ctx.inv(sqrt_system.sqrt(g)), image & alive)
+        for g, image in images.items()
+    }
     state = PqmState(classes, len(v_seq), tuple(history))
     outcome = SUCCESS if len(state.nonempty()) <= 1 else FAIL
     return outcome, state
@@ -163,7 +135,11 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     Every discarded line's reference point lies inside the converted image
     of the discarded side, so once the line decoder has killed a whole
     product bucket the matching class is empty too: for a verified scheme
-    at most the true product's class can outlive the replay.
+    at most the true product's class can outlive the replay.  That bound
+    holds only in the empty sense on the GF(7), GF(8) and GF(9) schemes the
+    suite and tests replay: every one of their replays ends with no class
+    left, the true product's class included, while run_qm decodes the true
+    product from the same transcripts.
     """
     ctx = scheme.ctx
     translated = mqm_to_pqm(scheme)
@@ -176,16 +152,6 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
             flipped = mask_complement(scheme.sets[z], ctx.q)
             v_seq.append(convert_eliminator(ctx, ss, flipped, scheme.schedule[z]))
     return run_pqm(ctx, ss, tuple(v_seq), (0,) * len(v_seq))
-
-
-def survivor_size_check(ctx: FieldCtx, state: PqmState) -> bool:
-    """Terminal list-size check: the unique surviving class holds at most
-    2 points (odd characteristic) or 3 (characteristic 2)."""
-    alive = state.nonempty()
-    if len(alive) != 1:
-        raise PreconditionViolated(f"need exactly one nonempty class, got {len(alive)}")
-    size = state.classes[alive[0]].bit_count()
-    return size <= (2 if ctx.p > 2 else 3)
 
 
 class BoundReport(NamedTuple):
@@ -315,8 +281,3 @@ def play_game(config: GameConfig) -> dict:
         "ties": ties,
         "classes_left": left,
     }
-
-
-def adversarial_game(config: GameConfig):
-    """Rounds the adversary can force for the configured Alice strategy."""
-    return play_game(config)["rounds"]

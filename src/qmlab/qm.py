@@ -27,7 +27,7 @@ from .errors import (
     PreconditionViolated,
     RegimeMismatch,
 )
-from .galois import FieldCtx, mask_of
+from .galois import FieldCtx
 from .residues import SqrtSystem, omega_set
 from .rscode import bucket, line_eval
 
@@ -209,27 +209,6 @@ def convert_eliminator(ctx: FieldCtx, sqrt_system: SqrtSystem, t_mask: int, alph
             if (t_mask >> value_at_alpha) & 1:
                 out.add(ctx.mul(r, ctx.add(m, ctx.inv(m))))
     return frozenset(out)
-
-
-def reduce_k_to_2(ctx: FieldCtx, k: int, i: int, j: int, alpha: int) -> tuple:
-    """Local transformation turning a message supported on {i, j} into a line.
-
-    The server at alpha rescales its symbol by alpha^(-i) and reads it as a
-    degree-1 evaluation at beta = alpha^(j-i); returns (rescale, beta, j-i).
-    """
-    if k <= 2:
-        raise PreconditionViolated("reduction applies to dimensions above 2")
-    if not 0 <= i < j < k:
-        raise PreconditionViolated("need 0 <= i < j < k")
-    if alpha == 0:
-        raise PreconditionViolated("the reduction rescales by a power of alpha")
-    r = j - i
-    return ctx.pow(alpha, -i), ctx.pow(alpha, r), r
-
-
-def reachable_betas(ctx: FieldCtx, r: int) -> frozenset:
-    """Image of x -> x^r on the units: the relabeled points the reduction can hit."""
-    return frozenset(ctx.pow(x, r) for x in ctx.units)
 
 
 _SEARCH_Q_LIMIT = 11

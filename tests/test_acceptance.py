@@ -18,14 +18,9 @@ import time
 from qmlab.charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
 from qmlab.galois import field, mask_from_hex, mask_of
 from qmlab.linleak import TraceQuery, linear_impossibility_check
-from qmlab.pqm import (
-    GameConfig,
-    adversarial_game,
-    bandwidth_bound,
-    mqm_to_pqm,
-    replay_transcript,
-)
-from qmlab.qm import MQM, SUCCESS, LeakageScheme, search_min_bandwidth
+from qmlab.cli import _run_row, _suite_rows
+from qmlab.pqm import GameConfig, bandwidth_bound, mqm_to_pqm, play_game
+from qmlab.qm import LeakageScheme
 from qmlab.residues import (
     build_sqrt_system,
     omega_set,
@@ -64,6 +59,12 @@ def _scheme(q, schedule, hex_sets):
         ctx, 2, 0, 1, frozenset(omega_set(ctx).elements), schedule,
         tuple(mask_from_hex(h, q) for h in hex_sets),
     )
+
+
+def _suite_checks(*names):
+    """The named suite rows, run as `suite` runs them."""
+    rows = {row.name: row for row in _suite_rows(16, 0)}
+    return [_run_row(rows[name]) for name in names]
 
 
 def test_criterion_01_gf7_five_bit_recovery():
@@ -195,44 +196,38 @@ def test_criterion_07_artin_schreier():
 
 def test_criterion_08_search_translate_replay():
     t0 = time.perf_counter()
-    ctx = field(7)
-    om = omega_set(ctx)
-    got = search_min_bandwidth(ctx, MQM, om.elements)
-    ok = got is not None
-    if ok:
-        t, scheme = got
-        floor = bandwidth_bound(ctx).integer_round_bound
-        ok = t == 3 and t >= floor
-        count = 0
-        for c0 in ctx.units:
-            for c1 in ctx.units:
-                if ctx.mul(c0, c1) not in om:
-                    continue
-                outcome, state = replay_transcript(scheme, (c0, c1))
-                ok = ok and outcome == SUCCESS
-                ok = ok and max(m.bit_count() for m in state.classes.values()) <= 2
-                count += 1
-        ok = ok and count == 18
+    (check,) = _suite_checks("pipeline-gf7")
+    ok = (
+        check["pass"]
+        and check["t"] == 3
+        and check["floor"] == bandwidth_bound(field(7)).integer_round_bound
+        and check["t"] >= check["floor"]
+        and check["replays"] == 18
+        and check["max_class"] <= 2
+    )
     _line(8, "searched 3-bit scheme translates and replays on all 18 lines",
-          ok, budget=300.0, took=time.perf_counter() - t0)
+          ok, budget=300.0, took=time.perf_counter() - t0, why=f": {check}")
 
 
 def test_criterion_09_round_floors_and_closed_forms():
     t0 = time.perf_counter()
+    fields = (7, 8, 9, 11, 13, 16)
+    checks = _suite_checks("bound-closed-forms", *(f"game-floor-gf{q}" for q in fields))
+    ok = all(check["pass"] for check in checks)
+    for q, check in zip(fields, checks[1:]):
+        floor = bandwidth_bound(field(q)).integer_round_bound
+        strategies = {"greedy-halving", "random-set"} | ({"replay"} if q == 7 else set())
+        ok = ok and check["floor"] == floor and set(check["rounds"]) == strategies
+        ok = ok and all(r >= floor for r in check["rounds"].values())
+    # replays no suite row plays: the GF(8) and GF(9) schemes' eliminators
     seqs = {
-        7: mqm_to_pqm(search_min_bandwidth(field(7), MQM, omega_set(field(7)).elements)[1]),
         8: mqm_to_pqm(_scheme(8, (4, 4, 7, 7), ("8a", "f0", "2c", "a2"))),
         9: mqm_to_pqm(_scheme(9, (1, 1, 2, 2, 3), ("007", "04e", "007", "0a1", "006"))),
     }
-    ok = True
-    for q in (7, 9, 11, 13, 8, 16):
+    for q, v_seq in seqs.items():
         ctx = field(q)
-        floor = bandwidth_bound(ctx).integer_round_bound
-        for strategy in ("greedy-halving", "random-set", "replay"):
-            rounds = adversarial_game(
-                GameConfig(ctx, strategy, seed=0, v_seq=seqs.get(q, ()))
-            )
-            ok = ok and rounds >= floor
+        record = play_game(GameConfig(ctx, "replay", seed=0, v_seq=v_seq))
+        ok = ok and record["rounds"] >= bandwidth_bound(ctx).integer_round_bound
     for q in (7, 9, 11, 13):
         want = 2 * math.log2(q - 1) - 3
         ok = ok and abs(bandwidth_bound(field(q)).real_bound - want) < 1e-9
@@ -242,7 +237,7 @@ def test_criterion_09_round_floors_and_closed_forms():
     ok = ok and bandwidth_bound(field(5)).real_bound == 1.0
     ok = ok and bandwidth_bound(field(4)).real_bound == -2.0
     _line(9, "no Alice strategy beats the round floor; closed forms check out",
-          ok, budget=60.0, took=time.perf_counter() - t0)
+          ok, budget=60.0, took=time.perf_counter() - t0, why=f": {checks}")
 
 
 def test_criterion_10_one_symbol_collisions():

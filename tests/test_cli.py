@@ -611,6 +611,8 @@ def test_text_report_shows_wall_time(capsys):
         "buckets --q 64 --json",
         "buckets --q 81 --json",
         "game --q 121 --strategy greedy-halving --seed 0 --json",
+        "game --q 128 --strategy greedy-halving --seed 0 --json",
+        "game --q 243 --strategy random-set --seed 0 --json",
     ],
 )
 def test_reports_match_the_benchmark_digests(capsys, command):

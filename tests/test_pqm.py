@@ -8,16 +8,11 @@ from qmlab.galois import field, mask_of
 from qmlab.pqm import (
     BoundReport,
     GameConfig,
-    PqmState,
-    adversarial_game,
     bandwidth_bound,
-    initial_state,
     mqm_to_pqm,
     play_game,
-    pqm_round,
     replay_transcript,
     run_pqm,
-    survivor_size_check,
 )
 from qmlab.qm import FAIL, MQM, SUCCESS, LeakageScheme, mqm_check, search_min_bandwidth
 from qmlab.residues import build_sqrt_system, omega_set
@@ -50,33 +45,39 @@ def gf9_witness():
 # ---------------------------------------------------------------- state
 
 
+def start_classes(ctx):
+    """The decoder's start state, built directly: B_1(1) in every class."""
+    ref = mask_of(b11(ctx))
+    return {g: ref for g in omega_set(ctx).elements}
+
+
 def test_initial_state_is_reference_image_per_class():
     ctx = field(7)
-    state = initial_state(ctx)
-    assert sorted(state.classes) == [1, 2, 4]
+    out, state = run_pqm(ctx, build_sqrt_system(ctx), (), ())
+    assert list(state.classes) == [1, 2, 4]
     for mask in state.classes.values():
         assert mask == mask_of(b11(ctx))
-    assert state.total() == 12
-    assert state.nonempty() == [1, 2, 4]
+    assert state.history == (12,) and state.rounds == 0
+    assert out == FAIL and state.nonempty() == [1, 2, 4]
 
 
 def test_round_validates_inputs():
     ctx = field(7)
     ss = build_sqrt_system(ctx)
-    state = initial_state(ctx)
     with pytest.raises(PreconditionViolated):
-        pqm_round(ctx, ss, state, {7}, 0)
+        run_pqm(ctx, ss, ({7},), (0,))
     with pytest.raises(PreconditionViolated):
-        pqm_round(ctx, ss, state, {1}, 2)
+        run_pqm(ctx, ss, ({1},), (2,))
 
 
 def test_round_shrinks_and_bit1_never_drops_zero():
     ctx = field(9)  # reference image contains 0 here
     ss = build_sqrt_system(ctx)
-    state = initial_state(ctx)
+    v_seq = ({1, 4, 8}, {0, 2}, set())
+    _, state = run_pqm(ctx, ss, (), ())
     assert all(mask & 1 for mask in state.classes.values())
-    for v_set in ({1, 4, 8}, {0, 2}, set()):
-        nxt = pqm_round(ctx, ss, state, v_set, 1)
+    for n in range(1, len(v_seq) + 1):
+        _, nxt = run_pqm(ctx, ss, v_seq[:n], (1,) * n)
         for g in state.classes:
             assert nxt.classes[g] & ~state.classes[g] == 0
             assert nxt.classes[g] & 1  # 0 survives every bit-1 round
@@ -102,27 +103,18 @@ def test_round_matches_scaled_eliminator_reference():
         ctx = field(q)
         ss = build_sqrt_system(ctx)
         rng = random.Random(q)
-        start = initial_state(ctx)
-        start.history = (start.total(),)
-        # arbitrary survivor masks over the whole field; 0 survives in the
-        # first class and not in the second
-        masks = {g: rng.getrandbits(q) for g in start.classes}
-        first, second = sorted(masks)[:2]
-        masks[first] |= 1
-        masks[second] &= ~1
-        scattered = PqmState(masks, rounds=2, history=(9, 5))
+        start = start_classes(ctx)
         v_sets = [frozenset(), frozenset(range(q)), frozenset(ctx.units)]
         for _ in range(4):
             v = frozenset(u for u in range(q) if rng.getrandbits(1))
             v_sets += [v | {0}, v - {0}]
-        for state in (start, scattered):
-            for v_set in v_sets:
-                for bit in (0, 1):
-                    got = pqm_round(ctx, ss, state, v_set, bit)
-                    want = reference_round(ctx, ss, state.classes, v_set, bit)
-                    assert got.classes == want, (q, sorted(v_set), bit)
-                    assert got.rounds == state.rounds + 1
-                    assert got.history == state.history + (got.total(),)
+        for v_set in v_sets:
+            for bit in (0, 1):
+                _, got = run_pqm(ctx, ss, (v_set,), (bit,))
+                want = reference_round(ctx, ss, start, v_set, bit)
+                assert got.classes == want, (q, sorted(v_set), bit)
+                assert got.rounds == 1
+                assert got.history[1] == sum(m.bit_count() for m in want.values())
 
 
 def reference_game(ctx, strategy, seed, max_rounds=None, v_seq=()):
@@ -130,7 +122,7 @@ def reference_game(ctx, strategy, seed, max_rounds=None, v_seq=()):
     sizes, then the chosen branch) with greedy weights summed over (u, class)."""
     ss = build_sqrt_system(ctx)
     rng = random.Random(seed)
-    classes = dict(initial_state(ctx).classes)
+    classes = start_classes(ctx)
     history = [sum(m.bit_count() for m in classes.values())]
     ties = []
     played = 0
@@ -206,7 +198,7 @@ def test_run_pqm_matches_round_by_round_reference():
         for n in (1, 4, 9):
             v_seq = [frozenset(u for u in range(q) if rng.getrandbits(1)) for _ in range(n)]
             bits = [rng.getrandbits(1) for _ in range(n)]
-            classes = initial_state(ctx).classes
+            classes = start_classes(ctx)
             history = [sum(m.bit_count() for m in classes.values())]
             for v_set, bit in zip(v_seq, bits):
                 classes = reference_round(ctx, ss, classes, v_set, bit)
@@ -305,28 +297,6 @@ def test_tampered_scheme_translates_but_can_fail():
     assert state.nonempty() == [3, 6]
 
 
-# ---------------------------------------------------------------- list size
-
-
-def test_survivor_size_check():
-    ctx7 = field(7)
-    ok = PqmState({1: 0, 2: mask_of({1, 5}), 4: 0}, rounds=3)
-    assert survivor_size_check(ctx7, ok) is True
-    big = PqmState({1: 0, 2: mask_of({1, 2, 5}), 4: 0}, rounds=3)
-    assert survivor_size_check(ctx7, big) is False
-
-    ctx8 = field(8)
-    three = PqmState({g: 0 for g in omega_set(ctx8).elements}, rounds=4)
-    alive = sorted(three.classes)[0]
-    three.classes[alive] = mask_of({0, 2, 4})
-    assert survivor_size_check(ctx8, three) is True
-
-    with pytest.raises(PreconditionViolated):
-        survivor_size_check(ctx7, initial_state(ctx7))
-    with pytest.raises(PreconditionViolated):
-        survivor_size_check(ctx7, PqmState({1: 0, 2: 0, 4: 0}))
-
-
 # ---------------------------------------------------------------- bounds
 
 BOUND_TABLE = {
@@ -356,10 +326,13 @@ def test_bound_table():
 
 
 def test_integer_bound_counts_initial_survivors():
+    # |Omega| * |B_1(1)| start points; GF(5) has no square-root system, so
+    # the count comes from the sets themselves, not from a replay
+    assert len(omega_set(field(5)).elements) * len(b11(field(5))) == 6
     for q in (3, 5, 7, 8, 9, 11, 13, 16):
         ctx = field(q)
         report = bandwidth_bound(ctx)
-        total = initial_state(ctx).total()
+        total = len(omega_set(ctx).elements) * len(b11(ctx))
         correction = 1 if ctx.p > 2 else 2
         assert report.integer_round_bound == (max(total, 1) - 1).bit_length() - correction
 
@@ -370,7 +343,7 @@ INTEGER_FLOORS = {7: 3, 8: 2, 9: 4, 11: 4, 13: 5, 16: 4}
 
 
 def test_single_class_game_ends_immediately():
-    assert adversarial_game(GameConfig(field(3), "greedy-halving")) == 0
+    assert play_game(GameConfig(field(3), "greedy-halving"))["rounds"] == 0
 
 
 def test_unknown_strategy():
@@ -384,7 +357,7 @@ def test_game_floor_for_every_builtin_strategy():
         configs = [GameConfig(ctx, "greedy-halving")]
         configs += [GameConfig(ctx, "random-set", seed=s) for s in range(5)]
         for config in configs:
-            assert adversarial_game(config) >= floor, (q, config.alice_strategy)
+            assert play_game(config)["rounds"] >= floor, (q, config.alice_strategy)
 
 
 def test_replay_strategy_consumes_translated_sequence():

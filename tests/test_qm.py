@@ -26,8 +26,6 @@ from qmlab.qm import (
     convert_eliminator,
     leak_bit,
     mqm_check,
-    reachable_betas,
-    reduce_k_to_2,
     run_qm,
     search_min_bandwidth,
     transcript,
@@ -218,25 +216,6 @@ def test_convert_eliminator_matches_relabel_route():
                             vals.add(ctx.mul(inv_ra, line_eval(ctx, moved, a)))
                             assert ctx.mul(rg, ctx.add(m, ctx.inv(m))) in got
                 assert vals == set(got)
-
-
-def test_reduce_k_to_2():
-    ctx = field(7)
-    assert reduce_k_to_2(ctx, 4, 0, 1, 5) == (1, 5, 1)
-    assert reduce_k_to_2(ctx, 4, 1, 3, 3) == (5, 2, 2)
-    with pytest.raises(PreconditionViolated):
-        reduce_k_to_2(ctx, 2, 0, 1, 3)
-    with pytest.raises(PreconditionViolated):
-        reduce_k_to_2(ctx, 4, 3, 1, 3)
-    with pytest.raises(PreconditionViolated):
-        reduce_k_to_2(ctx, 4, 1, 3, 0)
-
-
-def test_reachable_betas():
-    ctx = field(7)
-    assert reachable_betas(ctx, 1) == frozenset(ctx.units)
-    assert reachable_betas(ctx, 2) == frozenset({1, 2, 4})
-    assert reachable_betas(ctx, 3) == frozenset({1, 6})
 
 
 def test_search_trivial_restricted():
