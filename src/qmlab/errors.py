@@ -25,12 +25,20 @@ class InvalidDelta(QmLabError):
     """The excluded product index is not a member of the restricted set."""
 
 
-class DuplicatePoints(QmLabError):
-    """Evaluation points for an encoding must be distinct."""
-
-
 class BudgetExceeded(QmLabError):
-    """The search exhausted its node budget before finishing."""
+    """The search exhausted its node budget before finishing.
+
+    `t` is the bit count the search was trying when the budget ran out.  The
+    search tries t in ascending order, so no scheme has fewer than t bits.
+    """
+
+    def __init__(self, budget: int, t: int):
+        bits = "bit" if t == 1 else "bits"
+        super().__init__(
+            f"search expanded more than {budget} nodes; no scheme with fewer than {t} {bits}"
+        )
+        self.budget = budget
+        self.t = t
 
 
 class InvalidScheme(QmLabError):

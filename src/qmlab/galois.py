@@ -23,7 +23,19 @@ Addition takes one of three paths, fixed by the field:
 - odd p above the table limit: digit-wise arithmetic mod p, the same fork
   `mul` takes between the tables and polynomial reduction.
 
-Prime fields (e = 1) add residues mod p directly.
+Prime fields (e = 1) add residues mod p directly.  `add_elems` adds two
+sequences elementwise and picks the path once per call: mod p, XOR, or
+`add` itself for the Zech and digit-wise paths.
+
+The exp table holds two periods, exp[i] = g^(i mod (q - 1)) for i in
+[0, 2(q - 1)), while log and zech are built from the first.  A sum of two
+logs is then a valid index with no modulo (`mul`, the Zech shift in `add`,
+`scale_elems`), and so is a difference, whose negative values count from
+the end of the table and land one period ahead (`inv`, `div`).
+
+`trace` reads a per-field table of q entries on tabled fields, built on
+its first call by the Frobenius-sum loop with its prime-subfield assert run
+on every element; fields above the table limit run the loop per call.
 """
 
 from __future__ import annotations
@@ -172,6 +184,7 @@ class FieldCtx:
         self._exp = None  # exp/log tables, built for small fields
         self._log = None
         self._zech = None  # Zech logarithms, for tabled odd-p extension fields
+        self._trace = None  # trace table, built by the first `trace` on a tabled field
         if q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -243,12 +256,12 @@ class FieldCtx:
         log = [0] * self.q
         for i, v in enumerate(exp):
             log[v] = i
-        self._exp, self._log = exp, log
         if self.p > 2 and self.e > 1:
             # adding 1 changes only digit 0 of the encoding; 1 + v = 0 iff v = -1
             p = self.p
             ones = (v - v % p + (v + 1) % p for v in exp)
             self._zech = [log[w] if w else -1 for w in ones]
+        self._exp, self._log = exp + exp, log  # two periods, see the module docstring
 
     # -- field operations ----------------------------------------------------
 
@@ -267,12 +280,12 @@ class FieldCtx:
             return b
         if b == 0:
             return a
-        # g^i + g^j = g^i * (1 + g^(j-i)) = g^(i + zech[j-i])
+        # g^i + g^j = g^i * (1 + g^(j-i)) = g^(i + zech[j-i]); zech spans one
+        # period, so a negative j - i indexes it mod q - 1
         log = self._log
-        n = self.q - 1
         i = log[a]
-        z = zech[(log[b] - i) % n]
-        return 0 if z < 0 else self._exp[(i + z) % n]
+        z = zech[log[b] - i]
+        return 0 if z < 0 else self._exp[i + z]
 
     def sub(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -290,26 +303,33 @@ class FieldCtx:
         if self.e == 1:
             return self.p - a
         if self._exp is not None:  # -1 = g^((q-1)/2)
-            n = self.q - 1
-            return self._exp[(self._log[a] + n // 2) % n]
+            return self._exp[self._log[a] + (self.q - 1) // 2]
         return self.sub(0, a)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        exp = self._exp
+        if exp is not None:
+            log = self._log
+            return exp[log[a] + log[b]]
         return self._raw_mul(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DivisionByZero("inverse of 0")
         if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
+            return self._exp[-self._log[a]]
         return self._raw_pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+        exp = self._exp
+        if exp is None or b == 0:
+            return self.mul(a, self.inv(b))
+        if a == 0:
+            return 0
+        log = self._log
+        return exp[log[a] - log[b]]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -324,7 +344,18 @@ class FieldCtx:
         return self._raw_pow(a, n)
 
     def trace(self, a: int) -> int:
-        """Tr(a) = a + a^p + ... + a^{p^{e-1}}; always lands in the prime subfield."""
+        """Tr(a) = a + a^p + ... + a^{p^{e-1}}; always lands in the prime subfield.
+
+        A table lookup on tabled fields; the first call builds the table."""
+        table = self._trace
+        if table is None:
+            if self._exp is None:
+                return self._trace_sum(a)
+            table = self._trace = [self._trace_sum(x) for x in range(self.q)]
+        return table[a]
+
+    def _trace_sum(self, a: int) -> int:
+        """Tr(a) as the sum of the e Frobenius powers of a."""
         t = a
         acc = a
         for _ in range(self.e - 1):
@@ -334,9 +365,9 @@ class FieldCtx:
         return acc
 
     def poly_eval(self, coeffs, x: int) -> int:
-        """Evaluate sum(coeffs[w] * x^w) by Horner's rule."""
+        """Evaluate sum(coeffs[w] * x^w) by Horner's rule; coeffs is a sequence."""
         acc = 0
-        for c in reversed(list(coeffs)):
+        for c in reversed(coeffs):
             acc = self.add(self.mul(acc, x), c)
         return acc
 
@@ -399,9 +430,9 @@ def mask_elems(mask: int) -> tuple[int, ...]:
 def scale_elems(ctx: FieldCtx, c: int, xs) -> list[int]:
     """[c*x for x in xs], one shift in the exponent per element on tabled fields.
 
-    log(c) + log(x) lies in [0, 2(q - 1) - 2], so the sum minus (q - 1) is a
-    valid index into exp whose negative values wrap to the sum mod (q - 1)
-    without a modulo.  Fields above the table limit multiply directly.
+    log(c) + log(x) lies in [0, 2(q - 1) - 2], inside the two-period exp
+    table, so it needs no modulo.  Fields above the table limit multiply
+    directly.
     """
     if c == 0:
         return [0] * len(xs)
@@ -409,8 +440,19 @@ def scale_elems(ctx: FieldCtx, c: int, xs) -> list[int]:
     if exp is None:
         mul = ctx.mul
         return [mul(c, x) for x in xs]
-    shift = log[c] - (ctx.q - 1)
+    shift = log[c]
     return [exp[log[x] + shift] if x else 0 for x in xs]
+
+
+def add_elems(ctx: FieldCtx, xs, ys) -> list[int]:
+    """[x + y for x, y in zip(xs, ys)], the add path picked once per call:
+    mod p on prime fields, XOR for p = 2, `ctx.add` otherwise."""
+    if ctx.e == 1:
+        p = ctx.p
+        return [(x + y) % p for x, y in zip(xs, ys)]
+    if ctx.p == 2:
+        return [x ^ y for x, y in zip(xs, ys)]
+    return list(map(ctx.add, xs, ys))
 
 
 def scale_mask(ctx: FieldCtx, c: int, mask: int) -> int:

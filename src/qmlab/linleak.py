@@ -133,6 +133,13 @@ def transcript_collision(ctx: FieldCtx, queries) -> tuple:
     return f, ell
 
 
+@lru_cache(maxsize=None)
+def _lift(ctx: FieldCtx, query: TraceQuery, r: int, i: int) -> TraceQuery:
+    """The line probe (alpha^r, gamma * alpha^i) that reads what `query` reads
+    of a codeword whose only nonzero coefficients are those of x^i and x^(i+r)."""
+    return TraceQuery(ctx.pow(query.alpha, r), ctx.mul(query.gamma, ctx.pow(query.alpha, i)))
+
+
 def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -> tuple | None:
     """A verified collision pair (poly_f, poly_ell) of degree-(k-1) codewords,
     k coefficients each with the constant first, that agree on every probe
@@ -142,18 +149,20 @@ def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -
     Higher dimensions reduce to lines: rescaling a stored evaluation by
     alpha^(-i) turns the i and j coefficients into the intercept and slope
     of a line in beta = alpha^(j-i), and folding alpha^i into gamma keeps
-    the probes identical.
+    the probes identical.  An [n, k] Reed-Solomon code over GF(q) has
+    k <= n <= q, so k > q is rejected.
     """
     queries = tuple(queries)
     if len(queries) != 2 * ctx.e - 1:
         raise PreconditionViolated(f"need exactly {2 * ctx.e - 1} queries")
+    if k > ctx.q:
+        raise PreconditionViolated(
+            f"k={k} exceeds q={ctx.q}: a Reed-Solomon code over GF({ctx.q}) has k <= q"
+        )
     if not (0 <= i < k and 0 <= j < k) or i == j:
         raise PreconditionViolated("need two distinct coefficient targets")
     r = (j - i) % (ctx.q - 1)
-    lifted = tuple(
-        TraceQuery(ctx.pow(qy.alpha, r), ctx.mul(qy.gamma, ctx.pow(qy.alpha, i)))
-        for qy in queries
-    )
+    lifted = tuple(_lift(ctx, qy, r, i) for qy in queries)
     f, ell = transcript_collision(ctx, lifted)
     poly_f, poly_ell = [0] * k, [0] * k
     poly_f[i], poly_f[j] = f[0], f[1]

@@ -325,6 +325,13 @@ def search_min_bandwidth(
     committed options, so a node neither rescans degrees nor re-tests
     splits.  A graph is 2-colorable iff it has no odd cycle, so a 1-bit
     point answers its probes from the labels instead of a coloring.
+
+    Each node branches on the first open constraint with the fewest viable
+    options.  The scan stops counting a constraint's options once the count
+    reaches the fewest so far, since it can then no longer win, and builds
+    the option list only for the winner; the tree is the one a full count
+    gives.  A budget hit while trying t bits raises BudgetExceeded carrying
+    t: every smaller t was refuted, so no scheme has fewer than t bits.
     """
     if ctx.q > _SEARCH_Q_LIMIT:
         raise PreconditionViolated(f"exhaustive search capped at q <= {_SEARCH_Q_LIMIT}")
@@ -409,12 +416,12 @@ def search_min_bandwidth(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(f"search expanded more than {budget} nodes")
-        branch = None
+            raise BudgetExceeded(budget, t)  # t: the bit count the loop below tries
+        best, fewest = None, len(alphas) * q * q  # more options than any constraint has
         for ci, sig in enumerate(constraints):
             if split[ci]:
                 continue  # already split
-            viable = []
+            count = 0
             for opt in sig:
                 ai, u, v = opt
                 if caps[ai] == 1:
@@ -424,15 +431,19 @@ def search_min_bandwidth(
                 if ok is None:
                     ok = seen[opt] = colorable(ai, u, v, caps[ai])
                 if ok:
-                    viable.append(opt)
-            if not viable:
+                    count += 1
+                    if count == fewest:
+                        break  # cannot beat the best; ties go to the lower index
+            if not count:
                 return False
-            if branch is None or len(viable) < len(branch):
-                branch = viable
-                if len(viable) == 1:
+            if count < fewest:
+                best, fewest = sig, count
+                if count == 1:
                     break
-        if branch is None:
+        if best is None:
             return True
+        # the winner's count was never cut off, so all its verdicts are cached
+        branch = [opt for opt in best if caps[opt[0]] != 1 and verdicts[opt[0]][opt]]
         for opt in branch:
             ai, u, v = opt
             row = adj[ai]

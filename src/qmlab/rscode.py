@@ -29,9 +29,10 @@ Direct evaluation of every line of a bucket stays as the private reference
 the tests check the law against it.  It evaluates a bucket's lines in bulk,
 m*alpha + b for all of them at once: the slopes and intercepts are read from
 `bucket(gamma)` once per gamma, the slopes are scaled by alpha with
-`galois.scale_elems` and the intercepts added elementwise.  This is still one
-evaluation per line of the bucket; it reads neither the law nor the images
-built from it, so the check compares two independent computations.
+`galois.scale_elems` and the intercepts added with `galois.add_elems`.
+This is still one evaluation per line of the bucket; it reads neither the
+law nor the images built from it, so the check compares two independent
+computations.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
-from .galois import FieldCtx, mask_full, mask_of, scale_elems, scale_mask
+from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
+from .galois import FieldCtx, add_elems, mask_full, mask_of, scale_elems, scale_mask
 from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
@@ -58,17 +59,6 @@ def make_line(ctx: FieldCtx, m: int, b: int) -> Line:
 
 def line_eval(ctx: FieldCtx, line: Line, alpha: int) -> int:
     return ctx.add(ctx.mul(line.m, alpha), line.b)
-
-
-def g_line(ctx: FieldCtx, m: int) -> Line:
-    """(1/m)x + m, the product-1 line with parameter m."""
-    return make_line(ctx, ctx.inv(m), m)
-
-
-def h_line(ctx: FieldCtx, sqrt_system: SqrtSystem, gamma: int, m: int) -> Line:
-    """sqrt(gamma) * g_m, the canonical product-gamma line with parameter m."""
-    r = sqrt_system.sqrt(gamma)
-    return make_line(ctx, ctx.mul(r, ctx.inv(m)), ctx.mul(r, m))
 
 
 @lru_cache(maxsize=None)
@@ -98,11 +88,11 @@ def _enumerated_image(ctx: FieldCtx, gamma: int, alpha: int) -> int:
     """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket.
 
     Every line at once: the slopes times alpha through `scale_elems`, plus
-    each line's intercept through `ctx.add`.  It never reads `_scaled_image`
+    each line's intercept through `add_elems`.  It never reads `_scaled_image`
     or `bucket_eval`, so it stays independent of the law it checks.
     """
     slopes, intercepts = _bucket_columns(ctx, gamma)
-    return mask_of(map(ctx.add, scale_elems(ctx, alpha, slopes), intercepts))
+    return mask_of(add_elems(ctx, scale_elems(ctx, alpha, slopes), intercepts))
 
 
 @lru_cache(maxsize=None)
@@ -174,13 +164,3 @@ def scalar_evolution(
     den = ctx.mul(sqrt_system.sqrt(delta), sqrt_system.sqrt(beta))
     rhs = _rescaled_image(ctx, ctx.div(num, den), delta, beta)
     return _enumerated_image(ctx, gamma, alpha) == rhs
-
-
-def encode(ctx: FieldCtx, message, eval_points) -> tuple:
-    """Evaluate the message polynomial (constant term first) at each point."""
-    points = tuple(eval_points)
-    if len(set(points)) != len(points):
-        raise DuplicatePoints("evaluation points must be distinct")
-    if not 1 <= len(tuple(message)) <= len(points):
-        raise PreconditionViolated("need 1 <= k <= number of evaluation points")
-    return tuple(ctx.poly_eval(tuple(message), pt) for pt in points)

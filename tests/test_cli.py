@@ -478,6 +478,22 @@ def test_qm_search_rejects_out_of_range_flags(capsys, flag, value, least):
     assert code == 0 and report["found"] and report["t"] == 0
 
 
+@pytest.mark.parametrize(
+    "q, mode, servers, budget, t",
+    [(7, "appendix", "0,1,2,3,4", 3635, 4), (7, "appendix", "0,1,2,3,4", 100, 2),
+     (8, "mqm", "1,4,7", 997, 4)],
+)
+def test_qm_search_budget_error_states_the_proven_bound(capsys, q, mode, servers, budget, t):
+    # t is tried in ascending order, so a budget hit at t refutes every smaller t
+    argv = ["qm", "search", "--q", str(q), "--mode", mode, "--servers", servers]
+    assert cmd_dispatch([*argv, "--budget", str(budget), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: search expanded more than {budget} nodes; no scheme with fewer than {t} bits\n"
+    )
+
+
 @pytest.mark.parametrize("servers", ["--servers=", "--servers=,"])
 def test_qm_search_rejects_an_empty_server_list(capsys, servers):
     assert cmd_dispatch(["qm", "search", "--q", "5", "--mode", "qm", servers, "--json"]) == 2
@@ -517,6 +533,16 @@ def test_linleak_check_exhaustive_and_sampled(capsys):
     code, report = run_json(capsys, ["linleak", "check", "--q", "8", "--samples", "40"])
     assert code == 0 and report["count"] == 40 and report["verified"] == 40
     assert cmd_dispatch(["linleak", "check", "--q", "8", "--exhaustive"]) == 2
+
+
+@pytest.mark.parametrize("k", ["5", "100000"])
+def test_linleak_check_rejects_k_above_q(capsys, k):
+    # without the bound each probe would evaluate k-coefficient polynomials
+    argv = ["linleak", "check", "--q", "4", "--k", k, "--i", "0", "--j", str(int(k) - 1)]
+    assert cmd_dispatch([*argv, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: k={k} exceeds q=4") and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("q, k, i, j", [(8, 3, 0, 2), (9, 4, 1, 3)])

@@ -9,6 +9,7 @@ from qmlab.galois import (
     _TABLE_LIMIT,
     MAX_Q,
     FieldCtx,
+    add_elems,
     canonical_irreducible,
     field,
     field_pe,
@@ -155,12 +156,69 @@ def test_field_axioms_exhaustive():
 
 
 def test_mul_matches_raw_polynomial_mul():
-    # the exp/log fast path must agree with schoolbook reduction
-    for q in [8, 9, 16, 49]:
+    # mul, inv, div and pow index the two-period exp table with no modulo and
+    # must agree with schoolbook reduction: every pair (a, b) of each tabled
+    # field up to 64, with b also the exponent, and sampled pairs above
+    for q in [q for q in range(2, 65) if prime_power(q)]:
         ctx = field(q)
+        assert len(ctx._exp) == 2 * (q - 1) and ctx._exp[: q - 1] == ctx._exp[q - 1 :]
+        inv_ref = {b: ctx._raw_pow(b, q - 2) for b in ctx.units}
         for a in ctx.elements:
+            power = 1  # a^b by repeated schoolbook multiplication
             for b in ctx.elements:
-                assert ctx.mul(a, b) == ctx._raw_mul(a, b)
+                assert ctx.mul(a, b) == ctx._raw_mul(a, b), (q, a, b)
+                assert ctx.pow(a, b) == power, (q, a, b)
+                if b:
+                    assert ctx.div(a, b) == ctx._raw_mul(a, inv_ref[b]), (q, a, b)
+                power = ctx._raw_mul(power, a)
+            if a:
+                assert ctx.inv(a) == inv_ref[a] == ctx.pow(a, -1), (q, a)
+    rng = random.Random(20261019)
+    for q in (243, 4096):
+        ctx = field(q)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        pairs += [(a, b) for a in (0, 1, q - 1) for b in (0, 1, q - 1)]
+        for a, b in pairs:
+            assert ctx.mul(a, b) == ctx._raw_mul(a, b), (q, a, b)
+            assert ctx.pow(a, b) == ctx._raw_pow(a, b % (q - 1) if a else b), (q, a, b)
+            if b:
+                inv_b = ctx._raw_pow(b, q - 2)
+                assert ctx.inv(b) == inv_b, (q, b)
+                assert ctx.div(a, b) == ctx._raw_mul(a, inv_b), (q, a, b)
+    with pytest.raises(DivisionByZero):
+        field(64).div(0, 0)
+
+
+def test_trace_table_matches_the_frobenius_sum():
+    for q in [q for q in range(2, 257) if prime_power(q)]:
+        ctx = FieldCtx(*prime_power(q))  # a fresh context, so the table is built here
+        assert ctx._trace is None
+        got = [ctx.trace(a) for a in ctx.elements]
+        assert ctx._trace == got == [ctx._trace_sum(a) for a in ctx.elements], q
+    # an odd-p extension field above the table limit runs the loop per call
+    big = field(3**8)
+    assert big._exp is None
+    rng = random.Random(3)
+    for a in [0, 1, 2, big.q - 1] + rng.sample(range(big.q), 40):
+        t = big.trace(a)
+        assert t == big._trace_sum(a) and t < 3
+        assert big.trace(big.add(a, 1)) == (t + big.e) % 3  # Tr(1) = e mod p
+    assert big._trace is None
+
+
+@pytest.mark.parametrize("q", [7, 16, 81, 6561])
+def test_add_elems_matches_add(q):
+    # one field per add path: mod p, XOR, Zech logarithms, digit lists
+    ctx = field(q)
+    rng = random.Random(q)
+    if q <= 81:
+        xs = [a for a in ctx.elements for _ in ctx.elements]
+        ys = [b for _ in ctx.elements for b in ctx.elements]
+    else:
+        xs = [rng.randrange(q) for _ in range(2000)] + [0, 0, q - 1]
+        ys = [rng.randrange(q) for _ in range(2000)] + [0, q - 1, 0]
+    assert add_elems(ctx, xs, ys) == list(map(ctx.add, xs, ys))
+    assert add_elems(ctx, (), ()) == []
 
 
 def test_trace_values():

@@ -7,6 +7,7 @@ from qmlab.errors import PreconditionViolated
 from qmlab.galois import field
 from qmlab.linleak import (
     TraceQuery,
+    _lift,
     _trace_row,
     decompose,
     linear_impossibility_check,
@@ -190,3 +191,25 @@ def test_impossibility_check_hypothesis_boundary():
         linear_impossibility_check(ctx, 2, 0, 1, full_download)
     with pytest.raises(PreconditionViolated):
         linear_impossibility_check(ctx, 2, 1, 1, [TraceQuery(1, 1)] * 3)
+
+
+def test_impossibility_check_rejects_k_above_q():
+    # an [n, k] Reed-Solomon code over GF(q) has k <= n <= q
+    ctx = field(4)
+    tup = (TraceQuery(1, 2), TraceQuery(2, 1), TraceQuery(3, 3))
+    assert linear_impossibility_check(ctx, 4, 0, 3, tup)
+    for k in (5, 100_000):
+        with pytest.raises(PreconditionViolated, match=f"k={k} exceeds q=4"):
+            linear_impossibility_check(ctx, k, 0, k - 1, tup)
+
+
+@pytest.mark.parametrize("q", [4, 8])
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (2, 0)])  # k does not enter the lift
+def test_lift_matches_the_direct_formula(q, i, j):
+    # the cached lift of each probe is (alpha^r, gamma * alpha^i), r = j - i mod q - 1
+    ctx = field(q)
+    r = (j - i) % (q - 1)
+    for qy in query_space(ctx):
+        a_i = ctx._raw_pow(qy.alpha, i)
+        want = TraceQuery(ctx._raw_pow(qy.alpha, r), ctx._raw_mul(qy.gamma, a_i))
+        assert _lift(ctx, qy, r, i) == want, qy

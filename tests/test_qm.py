@@ -32,7 +32,7 @@ from qmlab.qm import (
     verify_scheme,
 )
 from qmlab.residues import build_sqrt_system, omega_set
-from qmlab.rscode import h_line, line_eval, relabel
+from qmlab.rscode import line_eval, make_line, relabel
 
 
 def gf7_appendix_scheme() -> LeakageScheme:
@@ -210,7 +210,7 @@ def test_convert_eliminator_matches_relabel_route():
                 for g in om.elements:
                     rg = ss.sqrt(g)
                     for m in ctx.units:
-                        h = h_line(ctx, ss, g, m)
+                        h = make_line(ctx, ctx.mul(rg, ctx.inv(m)), ctx.mul(rg, m))
                         if (t_mask >> line_eval(ctx, h, a)) & 1:
                             moved = relabel(ctx, ss, h, a)
                             vals.add(ctx.mul(inv_ra, line_eval(ctx, moved, a)))
@@ -285,6 +285,25 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
     assert search_min_bandwidth(field(q), mode, set(servers), budget=nodes) is not None
     with pytest.raises(BudgetExceeded):
         search_min_bandwidth(field(q), mode, set(servers), budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "q, mode, servers, budget, t",
+    [(7, APPENDIX, range(5), 3_635, 4), (7, APPENDIX, range(5), 100, 2),
+     (8, MQM, (1, 4, 7), 997, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1)],
+)
+def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
+    # the search tries t in ascending order, so a budget hit at t refutes
+    # every smaller t; searching with t_max = t - 1 confirms the refutation
+    with pytest.raises(BudgetExceeded) as err:
+        search_min_bandwidth(field(q), mode, set(servers), budget=budget)
+    assert (err.value.budget, err.value.t) == (budget, t)
+    bits = "bit" if t == 1 else "bits"
+    assert str(err.value) == (
+        f"search expanded more than {budget} nodes; no scheme with fewer than {t} {bits}"
+    )
+    if t:
+        assert search_min_bandwidth(field(q), mode, set(servers), t_max=t - 1) is None
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11])

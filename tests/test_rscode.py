@@ -1,4 +1,4 @@
-"""Tests for lines, buckets, evaluation images, relabels, and encoding."""
+"""Tests for lines, buckets, evaluation images and relabels."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import random
 import pytest
 
 from qmlab import cli, rscode
-from qmlab.errors import DuplicatePoints, PreconditionViolated, RegimeMismatch, UnsupportedField
+from qmlab.errors import RegimeMismatch, UnsupportedField
 from qmlab.galois import field, mask_of, prime_power
 from qmlab.residues import build_sqrt_system, omega_set
 from qmlab.rscode import (
@@ -16,9 +16,6 @@ from qmlab.rscode import (
     b11,
     bucket,
     bucket_eval,
-    encode,
-    g_line,
-    h_line,
     line_eval,
     make_line,
     relabel,
@@ -165,18 +162,21 @@ def test_b11_equals_bucket_eval():
         assert mask_of(b11(ctx)) == bucket_eval(ctx, 1, 1)
 
 
-def test_h_line_is_scaled_g_line():
-    for q in (7, 9):
+def _h_line(ctx, ss, gamma, m):
+    """sqrt(gamma) * ((1/m)x + m), the canonical product-gamma line with parameter m."""
+    r = ss.sqrt(gamma)
+    return make_line(ctx, ctx.mul(r, ctx.inv(m)), ctx.mul(r, m))
+
+
+def test_canonical_lines_fill_the_bucket():
+    # m -> sqrt(gamma) * ((1/m)x + m) is a bijection from the units onto bucket(gamma)
+    for q in (7, 8, 9):
         ctx = field(q)
         ss = build_sqrt_system(ctx)
         for g in omega_set(ctx).elements:
-            r = ss.sqrt(g)
-            for m in ctx.units:
-                hl = h_line(ctx, ss, g, m)
-                gl = g_line(ctx, m)
-                assert hl.m == ctx.mul(r, gl.m)
-                assert hl.b == ctx.mul(r, gl.b)
-                assert hl.product == g
+            lines = [_h_line(ctx, ss, g, m) for m in ctx.units]
+            assert all(line.product == g for line in lines)
+            assert set(lines) == bucket(ctx, g) and len(lines) == ctx.q - 1
 
 
 def test_relabel_frozen_example():
@@ -223,7 +223,7 @@ def test_relabel_evaluation_identity():
             for a in om.elements:
                 scale = ctx.mul(ss.sqrt(g), ss.sqrt(a))
                 for m in ctx.units:
-                    line = h_line(ctx, ss, g, m)
+                    line = _h_line(ctx, ss, g, m)
                     moved = relabel(ctx, ss, line, a)
                     want = ctx.mul(scale, ctx.add(m, ctx.inv(m)))
                     assert line_eval(ctx, moved, a) == want
@@ -324,18 +324,3 @@ def test_sqrt_pullback_identity_small_fields():
             lhs = {ctx.add(ctx.div(a, m), m) for m in ctx.units}
             rhs = {ctx.add(ctx.div(r, m), ctx.mul(r, m)) for m in ctx.units}
             assert lhs == rhs
-
-
-def test_encode_examples():
-    ctx = field(7)
-    assert encode(ctx, (2, 3), (0, 1, 2)) == (2, 5, 1)
-    assert encode(ctx, (0,), tuple(ctx.elements)) == (0,) * 7
-    assert encode(ctx, (0, 1), tuple(ctx.elements)) == tuple(ctx.elements)
-
-
-def test_encode_rejections():
-    ctx = field(7)
-    with pytest.raises(DuplicatePoints):
-        encode(ctx, (1, 2), (0, 1, 1))
-    with pytest.raises(PreconditionViolated):
-        encode(ctx, (1, 2, 3), (0, 1))
