@@ -35,7 +35,6 @@ from .errors import UnsupportedField
 from .galois import (
     FieldCtx,
     field,
-    field_pe,
     find_primitive,
     find_primitive_zero_inv_trace,
     mask_elems,
@@ -311,14 +310,6 @@ def _csv_ints(text: str) -> list:
     return [int(x) for x in text.split(",") if x != ""]
 
 
-def _field_from_args(args) -> FieldCtx:
-    if getattr(args, "p", None):
-        return field_pe(args.p, getattr(args, "e", None) or 1)
-    if getattr(args, "q", None) is None:
-        raise PreconditionViolated("select a field with --q or --p/--e")
-    return field(args.q)
-
-
 def _grid_lines(ctx: FieldCtx, cells: dict) -> list:
     """cells maps (point, product) to a sorted tuple of field elements.  Each
     distinct tuple object is formatted once: a `buckets` grid shares at most
@@ -385,11 +376,11 @@ def _collision_tally(ctx: FieldCtx, k: int, i: int, j: int, tuples) -> tuple:
     return count, verified, witness, failing
 
 
-def _union_sizes(ctx: FieldCtx, ss, pair) -> tuple:
+def _union_sizes(ctx: FieldCtx, pair) -> tuple:
     """(expected size, {g: union size} over the restricted set, the sizes
     that differ keyed by str(g))."""
     expected = ctx.q - 3 if ctx.p > 2 else ctx.q - 4
-    sizes = {g: scaled_pair_union_size(ctx, ss, pair, g) for g in omega_set(ctx).elements}
+    sizes = {g: scaled_pair_union_size(ctx, pair, g) for g in omega_set(ctx).elements}
     return expected, sizes, {str(g): n for g, n in sorted(sizes.items()) if n != expected}
 
 
@@ -417,7 +408,7 @@ def _searched_gf7():
 
 
 def cmd_field(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     payload = {
         "field": ctx.descriptor(),
         "q": ctx.q,
@@ -427,7 +418,7 @@ def cmd_field(args) -> RunReport:
 
 
 def cmd_residues(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     om = omega_set(ctx)
     payload = {
         "field": ctx.descriptor(),
@@ -443,7 +434,7 @@ def cmd_residues(args) -> RunReport:
         fail = _check("scaled-pair-exists", False, note=str(exc), counterexample=witness)
         return RunReport("residues", payload, [fail])
     ss = build_sqrt_system(ctx)
-    expected, sizes, bad = _union_sizes(ctx, ss, pair)
+    expected, sizes, bad = _union_sizes(ctx, pair)
     payload.update(
         {
             "pair": [pair.a, pair.b],
@@ -461,7 +452,7 @@ def cmd_residues(args) -> RunReport:
 
 
 def cmd_charsum(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     for idx, c in enumerate(args.poly):
         if not 0 <= c < ctx.q:
             raise PreconditionViolated(f"--poly[{idx}] = {c} is not an element of GF({ctx.q})")
@@ -481,7 +472,7 @@ def cmd_charsum(args) -> RunReport:
 
 
 def cmd_buckets(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     els = ctx.elements
     masks = {(a, g): bucket_eval(ctx, g, a) for a in els for g in els}
     # at most q + 1 distinct masks: q - 1 scaled images, the units, the field
@@ -512,7 +503,7 @@ def cmd_qm_verify(args) -> RunReport:
 
 
 def cmd_qm_search(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     if args.tmax is not None and args.tmax < 0:
         raise PreconditionViolated(f"--tmax must be at least 0, got {args.tmax}")
     if args.budget < 1:
@@ -563,7 +554,7 @@ def cmd_qm_convert(args) -> RunReport:
 
 def cmd_pqm_run(args) -> RunReport:
     ctx, v_seq = _read_v_file(args.v_file, args.q)
-    outcome, state = run_pqm(ctx, build_sqrt_system(ctx), v_seq, tuple(args.transcript))
+    outcome, state = run_pqm(ctx, v_seq, tuple(args.transcript))
     alive = state.nonempty()
     payload = {
         "field": ctx.descriptor(),
@@ -578,7 +569,7 @@ def cmd_pqm_run(args) -> RunReport:
 
 
 def cmd_game(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     if args.max_rounds is not None and args.max_rounds < 1:
         raise PreconditionViolated(f"--max-rounds must be at least 1, got {args.max_rounds}")
     if args.strategy == "replay" and not args.v_file:
@@ -612,7 +603,7 @@ def cmd_game(args) -> RunReport:
 
 
 def cmd_bound(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     rep = bandwidth_bound(ctx)
     payload = {
         "field": ctx.descriptor(),
@@ -626,15 +617,13 @@ def cmd_bound(args) -> RunReport:
 
 
 def cmd_linleak_check(args) -> RunReport:
-    ctx = _field_from_args(args)
+    ctx = field(args.q)
     t = 2 * ctx.e - 1
     if args.exhaustive:
-        space = _query_space(ctx)
-        if len(space) ** t > _EXHAUSTIVE_LIMIT:
-            raise PreconditionViolated(
-                f"{len(space) ** t} query tuples; use --samples for GF({ctx.q})"
-            )
-        tuples = itertools.product(space, repeat=t)
+        size = ((ctx.q - 1) * ctx.q) ** t  # counted before _query_space builds a probe
+        if size > _EXHAUSTIVE_LIMIT:
+            raise PreconditionViolated(f"{size} query tuples; use --samples for GF({ctx.q})")
+        tuples = itertools.product(_query_space(ctx), repeat=t)
         mode = "exhaustive"
     else:
         if args.samples < 1:
@@ -709,18 +698,16 @@ def _run_row(row: _Row) -> dict:
 
 def _sc_union_sizes(q: int) -> tuple:
     ctx = field(q)
-    ss = build_sqrt_system(ctx)
-    expected, _sizes, bad = _union_sizes(ctx, ss, scaled_pair(ctx, ss))
+    expected, _sizes, bad = _union_sizes(ctx, scaled_pair(ctx))
     return _failing(bad, expected=expected)
 
 
 def _sc_scalar_evolution(q: int) -> tuple:
     ctx = field(q)
-    ss = build_sqrt_system(ctx)
     om = omega_set(ctx)
     for g in om.elements:
         for a in om.elements:
-            if not scalar_evolution(ctx, ss, g, a, 1, 1):
+            if not scalar_evolution(ctx, g, a, 1, 1):
                 return _failing({"gamma": g, "alpha": a})
     return True, {}
 
@@ -1082,7 +1069,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     def leaf(owner, name, func, help_):
-        sp = owner.add_parser(name, help=help_)
+        # no prefix matching: a dropped flag such as --p must not read as --poly
+        sp = owner.add_parser(name, help=help_, allow_abbrev=False)
         sp.add_argument("--json", action="store_true", help="emit the canonical JSON report")
         sp.set_defaults(func=func)
         return sp
@@ -1090,18 +1078,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def seed_flag(sp):
         sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
 
-    def field_flags(sp):
-        sp.add_argument("--q", type=int, help="field size (prime power)")
-        sp.add_argument("--p", type=int, help="characteristic (with --e)")
-        sp.add_argument("--e", type=int, help="extension degree (with --p)")
+    def field_flag(sp):
+        sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
 
-    field_flags(leaf(sub, "field", cmd_field, "print a field descriptor"))
-    field_flags(leaf(sub, "residues", cmd_residues, "restricted set, roots, pair, unions"))
+    field_flag(leaf(sub, "field", cmd_field, "print a field descriptor"))
+    field_flag(leaf(sub, "residues", cmd_residues, "restricted set, roots, pair, unions"))
     sp = leaf(sub, "charsum", cmd_charsum, "complete quadratic character sum")
-    field_flags(sp)
+    field_flag(sp)
     sp.add_argument("--poly", type=_csv_ints, required=True,
                     help="coefficients, constant first (e.g. 0,1,0,1)")
-    field_flags(leaf(sub, "buckets", cmd_buckets, "evaluation-image table"))
+    field_flag(leaf(sub, "buckets", cmd_buckets, "evaluation-image table"))
 
     qm = sub.add_parser("qm", help="bit-leakage schemes")
     qmsub = qm.add_subparsers(dest="action", required=True, metavar="action")
@@ -1109,7 +1095,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", required=True, help="scheme JSON file")
     sp.add_argument("--domain", choices=("all", "nonzero", "omega"), default="nonzero")
     sp = leaf(qmsub, "search", cmd_qm_search, "minimum-bandwidth search")
-    field_flags(sp)
+    field_flag(sp)
     sp.add_argument("--mode", choices=tuple(_MODES), default="mqm")
     sp.add_argument("--tmax", type=int, default=None, help="largest bit budget to try")
     sp.add_argument("--budget", type=int, default=10**6, help="search node budget")
@@ -1126,19 +1112,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int, help="field size when the file has no descriptor")
 
     sp = leaf(sub, "game", cmd_game, "adversarial pruning game")
-    field_flags(sp)
+    field_flag(sp)
     seed_flag(sp)
     sp.add_argument("--strategy", choices=STRATEGIES, default="greedy-halving")
     sp.add_argument("--max-rounds", type=int, default=None)
     sp.add_argument("--v-file", default=None, help="v_seq JSON for the replay strategy")
 
     sp = leaf(sub, "bound", cmd_bound, "closed-form round floors")
-    field_flags(sp)
+    field_flag(sp)
 
     ll = sub.add_parser("linleak", help="linear one-symbol probes")
     llsub = ll.add_subparsers(dest="action", required=True, metavar="action")
     sp = leaf(llsub, "check", cmd_linleak_check, "transcript collisions below full download")
-    field_flags(sp)
+    field_flag(sp)
     seed_flag(sp)
     sp.add_argument("--k", type=int, default=2, help="message dimension")
     sp.add_argument("--i", type=int, default=0, help="first target coefficient")

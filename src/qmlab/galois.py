@@ -373,11 +373,6 @@ class FieldCtx:
 
 
 @lru_cache(maxsize=None)
-def field_pe(p: int, e: int) -> FieldCtx:
-    return FieldCtx(p, e)
-
-
-@lru_cache(maxsize=None)
 def field(q: int) -> FieldCtx:
     """FieldCtx for the prime power q with the canonical reducing polynomial."""
     if q > MAX_Q:  # before prime_power, whose trial division would not finish
@@ -385,7 +380,7 @@ def field(q: int) -> FieldCtx:
     pe = prime_power(q)
     if pe is None:
         raise ValueError(f"q={q} is not a prime power")
-    return field_pe(*pe)
+    return FieldCtx(*pe)
 
 
 @lru_cache(maxsize=None)

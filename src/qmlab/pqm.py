@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
 from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of, scale_mask
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
-from .residues import SqrtSystem, b11, build_sqrt_system, omega_set
+from .residues import b11, build_sqrt_system, omega_set
 
 STRATEGIES = ("greedy-halving", "random-set", "replay")
 
@@ -64,35 +64,37 @@ def _keep(alive: int, v_mask: int, bit: int) -> int:
     raise PreconditionViolated("bit must be 0 or 1")
 
 
-def _class_images(ctx: FieldCtx, sqrt_system: SqrtSystem) -> dict:
+def _class_images(ctx: FieldCtx) -> dict:
     """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order."""
+    ss = build_sqrt_system(ctx)
     ref = mask_of(b11(ctx))
-    return {g: scale_mask(ctx, sqrt_system.sqrt(g), ref) for g in omega_set(ctx).elements}
+    return {g: scale_mask(ctx, ss.sqrt(g), ref) for g in omega_set(ctx).elements}
 
 
 def _total(images: dict, alive: int) -> int:
     return sum((image & alive).bit_count() for image in images.values())
 
 
-def run_pqm(ctx: FieldCtx, sqrt_system: SqrtSystem, v_seq, bits) -> tuple:
+def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
     """Replay a transcript against the eliminator sequence.
 
     Returns (outcome, final state); the outcome is success exactly when at
     most one class survives.  Class gamma's final x-mask is
     (1/sqrt(gamma))*(I_gamma & alive).
     """
+    ss = build_sqrt_system(ctx)
     v_seq = tuple(v_seq)
     bits = tuple(bits)
     if len(bits) != len(v_seq):
         raise PreconditionViolated("transcript length must match the eliminators")
-    images = _class_images(ctx, sqrt_system)
+    images = _class_images(ctx)
     alive = mask_full(ctx.q)
     history = [_total(images, alive)]
     for v_set, bit in zip(v_seq, bits):
         alive = _keep(alive, _eliminator(ctx, v_set), bit)
         history.append(_total(images, alive))
     classes = {
-        g: scale_mask(ctx, ctx.inv(sqrt_system.sqrt(g)), image & alive)
+        g: scale_mask(ctx, ctx.inv(ss.sqrt(g)), image & alive)
         for g, image in images.items()
     }
     state = PqmState(classes, len(v_seq), tuple(history))
@@ -113,9 +115,9 @@ def mqm_to_pqm(scheme: LeakageScheme) -> tuple:
     om = omega_set(ctx)
     if not all(a in om for a in scheme.schedule):
         raise InvalidScheme("translation needs a schedule inside the restricted set")
-    ss = build_sqrt_system(ctx)
+    build_sqrt_system(ctx)  # GF(q) without one is refused, even for an empty schedule
     return tuple(
-        convert_eliminator(ctx, ss, t_mask, a)
+        convert_eliminator(ctx, t_mask, a)
         for a, t_mask in zip(scheme.schedule, scheme.sets)
     )
 
@@ -143,15 +145,14 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     """
     ctx = scheme.ctx
     translated = mqm_to_pqm(scheme)
-    ss = build_sqrt_system(ctx)
     v_seq = []
     for z, bit in enumerate(transcript(scheme, message)):
         if bit == 1:
             v_seq.append(translated[z])
         else:
             flipped = mask_complement(scheme.sets[z], ctx.q)
-            v_seq.append(convert_eliminator(ctx, ss, flipped, scheme.schedule[z]))
-    return run_pqm(ctx, ss, tuple(v_seq), (0,) * len(v_seq))
+            v_seq.append(convert_eliminator(ctx, flipped, scheme.schedule[z]))
+    return run_pqm(ctx, tuple(v_seq), (0,) * len(v_seq))
 
 
 class BoundReport(NamedTuple):
@@ -248,7 +249,7 @@ def play_game(config: GameConfig) -> dict:
     Returns the full game record; rounds is math.inf when the cap or an
     exhausted replay sequence stops the game first."""
     ctx = config.ctx
-    images = _class_images(ctx, build_sqrt_system(ctx))
+    images = _class_images(ctx)
     emit = _alice(config, images)
     alive = mask_full(ctx.q)
     history = [_total(images, alive)]

@@ -28,7 +28,7 @@ from .errors import (
     RegimeMismatch,
 )
 from .galois import FieldCtx
-from .residues import SqrtSystem, omega_set
+from .residues import build_sqrt_system, omega_set
 from .rscode import bucket, line_eval
 
 QM = "QM"
@@ -188,7 +188,7 @@ def mqm_check(scheme: LeakageScheme) -> bool:
     return verify_scheme(scheme, om.elements)
 
 
-def convert_eliminator(ctx: FieldCtx, sqrt_system: SqrtSystem, t_mask: int, alpha: int) -> frozenset:
+def convert_eliminator(ctx: FieldCtx, t_mask: int, alpha: int) -> frozenset:
     """Translate a leakage set at alpha into an eliminator V at the reference
     point: V collects sqrt(gamma)*(m + 1/m) over every product-gamma line
     whose evaluation at alpha lands in the set.
@@ -198,12 +198,13 @@ def convert_eliminator(ctx: FieldCtx, sqrt_system: SqrtSystem, t_mask: int, alph
     h(alpha) in T always has its reference value m + 1/m inside
     (1/sqrt(gamma)) * V.
     """
+    ss = build_sqrt_system(ctx)
     om = omega_set(ctx)
     if alpha not in om:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
     out = set()
     for g in om.elements:
-        r = sqrt_system.sqrt(g)
+        r = ss.sqrt(g)
         for m in ctx.units:
             value_at_alpha = ctx.mul(r, ctx.add(ctx.div(alpha, m), m))
             if (t_mask >> value_at_alpha) & 1:

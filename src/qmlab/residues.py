@@ -210,7 +210,7 @@ def b11(ctx: FieldCtx) -> frozenset:
     return out
 
 
-def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledPair:
+def scaled_pair(ctx: FieldCtx) -> ScaledPair:
     """Two members a, b of B_1(1)* whose root-scaled copies tile almost all units.
 
     For every d in Omega_q, the union of sqrt(g)*{a, b} over g in
@@ -236,15 +236,13 @@ def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledP
     """
     if ctx.q == 5:
         raise NoPairExists("B_1(1)* over GF(5) = {2,3} admits no usable pair")
-    if sqrt_system is None:
-        sqrt_system = build_sqrt_system(ctx)
+    ss = build_sqrt_system(ctx)
     b11_star = b11(ctx) - {0}
-    regime = sqrt_system.regime
-    if regime == BINARY:
-        w = sqrt_system.omega_set.omega
+    if ss.regime == BINARY:
+        w = ss.omega_set.omega
         a = ctx.pow(w, 2 ** (ctx.e - 1))
         b = w
-    elif regime == P3MOD4_E_ODD:
+    elif ss.regime == P3MOD4_E_ODD:
         qr = _qr_set(ctx)
         a = min(y for y in b11_star if y in qr)
         b = min(y for y in b11_star if y not in qr)
@@ -257,18 +255,17 @@ def scaled_pair(ctx: FieldCtx, sqrt_system: SqrtSystem | None = None) -> ScaledP
     return ScaledPair(a, b)
 
 
-def scaled_pair_union_size(
-    ctx: FieldCtx, sqrt_system: SqrtSystem, pair: ScaledPair, delta: int
-) -> int:
+def scaled_pair_union_size(ctx: FieldCtx, pair: ScaledPair, delta: int) -> int:
     """|union over g in Omega_q \\ {delta} of sqrt(g) * {a, b}|."""
-    om = sqrt_system.omega_set
+    ss = build_sqrt_system(ctx)
+    om = ss.omega_set
     if delta not in om:
         raise InvalidDelta(f"{delta} is not in the restricted set of GF({ctx.q})")
     union = set()
     for g in om.elements:
         if g == delta:
             continue
-        r = sqrt_system.root[g]
+        r = ss.root[g]
         union.add(ctx.mul(r, pair.a))
         union.add(ctx.mul(r, pair.b))
     return len(union)

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, add_elems, mask_full, mask_of, scale_elems, scale_mask
-from .residues import SqrtSystem, b11, omega_set  # noqa: F401 (b11 re-export)
+from .residues import b11, build_sqrt_system, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
 
@@ -107,7 +107,6 @@ def _scaled_image(ctx: FieldCtx, k: int) -> int:
     return scale_mask(ctx, ctx._exp[log_r], _enumerated_image(ctx, ctx._exp[eps], 1))
 
 
-@lru_cache(maxsize=None)
 def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
     """The q-bit mask of B_gamma(alpha) = {f(alpha) : f in bucket(gamma)}.
 
@@ -126,8 +125,9 @@ def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
     return _scaled_image(ctx, (log[gamma] + log[alpha]) % (ctx.q - 1))
 
 
-def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> Line:
+def relabel(ctx: FieldCtx, line: Line, alpha: int) -> Line:
     """Move the line's parameter from m to m*sqrt(alpha) within its bucket."""
+    ss = build_sqrt_system(ctx)
     om = omega_set(ctx)
     if line.product not in om:
         raise RegimeMismatch(f"line product {line.product} outside the restricted set")
@@ -135,7 +135,7 @@ def relabel(ctx: FieldCtx, sqrt_system: SqrtSystem, line: Line, alpha: int) -> L
         raise RegimeMismatch(f"{alpha} outside the restricted set")
     if line.m == 0:
         raise PreconditionViolated("relabel needs a nonzero slope")
-    r = sqrt_system.sqrt(alpha)
+    r = ss.sqrt(alpha)
     out = make_line(ctx, ctx.div(line.m, r), ctx.mul(line.b, r))
     assert out.product == line.product
     return out
@@ -147,20 +147,14 @@ def _rescaled_image(ctx: FieldCtx, scale: int, delta: int, beta: int) -> int:
     return scale_mask(ctx, scale, _enumerated_image(ctx, delta, beta))
 
 
-def scalar_evolution(
-    ctx: FieldCtx,
-    sqrt_system: SqrtSystem,
-    gamma: int,
-    alpha: int,
-    delta: int,
-    beta: int,
-) -> bool:
+def scalar_evolution(ctx: FieldCtx, gamma: int, alpha: int, delta: int, beta: int) -> bool:
     """Whether B_gamma(alpha) = (sqrt(gamma)sqrt(alpha)/sqrt(delta)sqrt(beta)) * B_delta(beta)."""
+    ss = build_sqrt_system(ctx)
     om = omega_set(ctx)
     for v in (gamma, alpha, delta, beta):
         if v not in om:
             raise RegimeMismatch(f"{v} outside the restricted set")
-    num = ctx.mul(sqrt_system.sqrt(gamma), sqrt_system.sqrt(alpha))
-    den = ctx.mul(sqrt_system.sqrt(delta), sqrt_system.sqrt(beta))
+    num = ctx.mul(ss.sqrt(gamma), ss.sqrt(alpha))
+    den = ctx.mul(ss.sqrt(delta), ss.sqrt(beta))
     rhs = _rescaled_image(ctx, ctx.div(num, den), delta, beta)
     return _enumerated_image(ctx, gamma, alpha) == rhs

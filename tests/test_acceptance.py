@@ -21,13 +21,7 @@ from qmlab.linleak import TraceQuery, linear_impossibility_check
 from qmlab.cli import _run_row, _suite_rows
 from qmlab.pqm import GameConfig, bandwidth_bound, mqm_to_pqm, play_game
 from qmlab.qm import LeakageScheme
-from qmlab.residues import (
-    build_sqrt_system,
-    omega_set,
-    quadratic_character,
-    scaled_pair,
-    scaled_pair_union_size,
-)
+from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_size
 from qmlab.rscode import _enumerated_image, b11, bucket_eval, scalar_evolution
 from qmlab.shamir7 import download_cost, figure1_table, one_bit_leak, verify_gf7
 
@@ -104,11 +98,10 @@ def test_criterion_04_scaled_pair_unions():
     ok = True
     for q in fields:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
-        pair = scaled_pair(ctx, ss)
+        pair = scaled_pair(ctx)
         want = q - 3 if ctx.p > 2 else q - 4
         for d in omega_set(ctx).elements:
-            ok = ok and scaled_pair_union_size(ctx, ss, pair, d) == want
+            ok = ok and scaled_pair_union_size(ctx, pair, d) == want
     _line(4, "scaled-pair unions hit q-3 (odd) / q-4 (binary) on all fields",
           ok, budget=30.0, took=time.perf_counter() - t0)
 
@@ -123,11 +116,10 @@ def test_criterion_05_scalar_evolution():
     ok = True
     for q in fields:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
         om = omega_set(ctx)
         for g in om.elements:
             for a in om.elements:
-                ok = ok and scalar_evolution(ctx, ss, g, a, 1, 1)
+                ok = ok and scalar_evolution(ctx, g, a, 1, 1)
                 ok = ok and bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a)
     _line(5, "every image is the root-scaled base image on supported fields",
           ok, budget=30.0, took=time.perf_counter() - t0)
@@ -145,7 +137,8 @@ def test_criterion_06_character_sums_and_residue_mix():
     # y = m + 1/m for a unit m iff m^2 - y*m + 1 has a root, i.e. iff the
     # discriminant y^2 - 4 is 0 or a square.  The squares come from squaring
     # the units, so b11 is checked against a derivation that shares no code
-    # with quadratic_character.  Mixing then holds on every odd field but two:
+    # with quadratic_character.  Mixing then holds on every odd field but two
+    # (for every odd q, by test_residue_mix_outliers_complete_for_every_odd_q):
     # over GF(5), B* = {2, 3} holds no square; over GF(9), whose squares are
     # {+-1, +-i}, y^2 - 4 = y^2 - 1 is 0 or -2 = 1 on the squares and has
     # order 8 on the other four units, so B* is exactly the squares.

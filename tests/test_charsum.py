@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 
 from qmlab.charsum import (
@@ -13,7 +15,7 @@ from qmlab.charsum import (
 )
 from qmlab.errors import PreconditionViolated, UnsupportedField
 from qmlab.galois import field, prime_factors
-from qmlab.residues import quadratic_character
+from qmlab.residues import b11, quadratic_character
 
 ODD_Q = [3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121]
 
@@ -141,3 +143,39 @@ def test_b11_residue_mix_all_odd_q():
             assert b11_star == {y for y in ctx.units if quadratic_character(ctx, y) == 1}
         else:
             assert has_res and has_non, q
+
+
+def test_residue_mix_outliers_complete_for_every_odd_q():
+    # Theorem: for every odd q, B_1(1)* holds a square and a non-square
+    # unless q is 5 or 9.  Proof.  For y outside {0, 2, -2}, y = m + 1/m has
+    # a unit solution iff m^2 - y*m + 1 has a root, i.e. iff y^2 - 4 is a
+    # nonzero square.  With chi the quadratic character and s = +-1, such y
+    # with chi(y) = s number
+    #   N(s) = 1/4 * sum over y outside {0, +-2} of (1 + s*chi(y))(1 + chi(y^2 - 4))
+    #        = (q - 4 - s*(chi(2) + chi(-2)) - chi(-1) + s*W) / 4,
+    # using sum chi(y) = 0 and sum chi(y^2 - 4) = -1 over the field, where
+    # W = sum chi(y^3 - 4y) (zero at 0 and +-2).  y^3 - 4y = y(y - 2)(y + 2)
+    # is square-free for odd p, so Weil gives |W| <= 2*sqrt(q) and
+    # N(s) >= (q - 7 - 2*sqrt(q)) / 4, positive once q > 7 and (q - 7)^2 > 4q.
+    # (q - 7)^2 - 4q grows by 2q - 17 from q to q + 1, so once positive past
+    # q = 8 it stays positive
+    threshold = next(q for q in range(8, 100) if (q - 7) ** 2 > 4 * q)
+    assert threshold == 15 and 2 * threshold - 17 > 0
+    # the count identity and Weil's bound, computed on the fields themselves
+    for q in [q for q in range(3, 122, 2) if len(prime_factors(q)) == 1]:
+        ctx = field(q)
+        chi = partial(quadratic_character, ctx)
+        two = ctx.add(1, 1)
+        star = b11(ctx) - {0, two, ctx.neg(two)}
+        w = sum(chi(ctx.mul(y, ctx.sub(ctx.mul(y, y), ctx.add(two, two)))) for y in ctx.elements)
+        assert w * w <= 4 * q, q
+        for s in (1, -1):
+            count = sum(1 for y in star if chi(y) == s)
+            edge = s * (chi(two) + chi(ctx.neg(two))) + chi(ctx.neg(1))
+            assert 4 * count == q - 4 - edge + s * w, q
+            assert q < threshold or count > 0, q
+    # below the threshold, every odd prime power by enumeration
+    for q in [q for q in range(3, threshold, 2) if len(prime_factors(q)) == 1]:
+        ctx = field(q)
+        signs = {quadratic_character(ctx, y) for y in b11(ctx) - {0}}
+        assert signs == ({-1} if q == 5 else {1} if q == 9 else {1, -1}), q

@@ -14,7 +14,6 @@ from qmlab.errors import SchemaError
 from qmlab.galois import field
 from qmlab.pqm import mqm_to_pqm, run_pqm
 from qmlab.qm import transcript
-from qmlab.residues import build_sqrt_system
 from qmlab.shamir7 import gf7_scheme
 
 
@@ -135,10 +134,9 @@ def test_exit_code_usage_error(capsys):
     assert "not a prime power" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--q", "--p"])
-def test_field_rejects_oversized_before_factoring(flag):
+def test_field_rejects_oversized_before_factoring():
     # trial division of this prime would not finish; the size check must come first
-    argv = [sys.executable, "-m", "qmlab", "field", flag, "1000000000000000003"]
+    argv = [sys.executable, "-m", "qmlab", "field", "--q", "1000000000000000003"]
     start = time.perf_counter()
     done = subprocess.run(argv, capture_output=True, text=True, timeout=10)
     assert time.perf_counter() - start < 1.0
@@ -156,11 +154,32 @@ def test_exit_codes_pass_and_fail(capsys):
     assert check["counterexample"]["b11_star"] == [2, 3]
 
 
+FIELD_COMMANDS = [
+    ["field"],
+    ["residues"],
+    ["charsum", "--poly", "0,1,0,1"],
+    ["buckets"],
+    ["qm", "search"],
+    ["game"],
+    ["bound"],
+    ["linleak", "check"],
+]
+
+
 def test_field_selection_forms(capsys):
-    code, by_q = run_json(capsys, ["field", "--q", "9"])
-    code2, by_pe = run_json(capsys, ["field", "--p", "3", "--e", "2"])
-    assert code == code2 == 0
-    assert by_q["field"] == by_pe["field"]
+    # --q is the one field selector: every field command requires it, and
+    # --p / --e, whole or as bare flags, are usage errors rather than a second
+    # field or a prefix of another flag (--poly, --exhaustive)
+    code, report = run_json(capsys, ["field", "--q", "9"])
+    assert code == 0 and (report["field"]["p"], report["field"]["e"]) == (3, 2)
+    for command in FIELD_COMMANDS:
+        for extra in ([], ["--q", "7", "--p", "3"], ["--q", "9", "--e", "3"],
+                      ["--p", "3", "--e", "0"], ["--q", "4", "--p"], ["--q", "4", "--e"]):
+            with pytest.raises(SystemExit) as err:
+                cmd_dispatch(command + extra)
+            assert err.value.code == 2, command + extra
+            want = "required: --q" if "--q" not in extra else "unrecognized arguments: --"
+            assert want in capsys.readouterr().err, command + extra
 
 
 def test_residues_report_values(capsys):
@@ -364,7 +383,7 @@ def test_search_verify_convert_run_pipeline(capsys, tmp_path):
     scheme = read_scheme(str(path))
     bits = transcript(scheme, (1, 1))
     ctx = scheme.ctx
-    outcome, _state = run_pqm(ctx, build_sqrt_system(ctx), mqm_to_pqm(scheme), bits)
+    outcome, _state = run_pqm(ctx, mqm_to_pqm(scheme), bits)
     code, report = run_json(
         capsys,
         ["pqm", "run", "--v-file", str(vpath), "--transcript", ",".join(map(str, bits))],
@@ -388,6 +407,21 @@ def test_pqm_run_rejects_json_booleans(capsys, tmp_path):
     assert cmd_dispatch(["pqm", "run", "--v-file", str(path), "--transcript", "1", "--q", "7"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "v_seq[1]" in err and err.count("\n") == 1
+
+
+def test_fields_without_a_square_root_system_are_refused_first(capsys, tmp_path):
+    # the refusal comes before any query is translated or any bit is replayed
+    gf5 = field(5).descriptor()
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps({"field": gf5, "k": 2, "i": 0, "j": 1, "servers": [1, 4],
+                                  "schedule": [], "sets": []}))
+    v_file = tmp_path / "v.json"
+    v_file.write_text(json.dumps({"field": gf5, "v_seq": []}))
+    for argv in (["qm", "convert", "--scheme", str(scheme)],
+                 ["pqm", "run", "--v-file", str(v_file), "--transcript", ""],
+                 ["pqm", "run", "--v-file", str(v_file), "--transcript", "0,1"]):
+        assert cmd_dispatch(argv) == 2
+        assert capsys.readouterr().err == "error: no square-root system over GF(5)\n"
 
 
 def test_scheme_rejects_json_booleans(capsys, tmp_path):
@@ -533,6 +567,19 @@ def test_linleak_check_exhaustive_and_sampled(capsys):
     code, report = run_json(capsys, ["linleak", "check", "--q", "8", "--samples", "40"])
     assert code == 0 and report["count"] == 40 and report["verified"] == 40
     assert cmd_dispatch(["linleak", "check", "--q", "8", "--exhaustive"]) == 2
+
+
+def test_linleak_exhaustive_size_check_builds_no_probe(capsys, monkeypatch):
+    # (q - 1) * q probes would take memory growing as q^2 just to be refused
+    def boom(_ctx):
+        raise AssertionError("the probe space was built before its size check")
+
+    monkeypatch.setattr(cli, "_query_space", boom)
+    assert cmd_dispatch(["linleak", "check", "--q", "65536", "--exhaustive"]) == 2
+    size = (65535 * 65536) ** 31  # t = 2e - 1 probes per tuple
+    assert capsys.readouterr().err == f"error: {size} query tuples; use --samples for GF(65536)\n"
+    assert cmd_dispatch(["linleak", "check", "--q", "8", "--exhaustive"]) == 2
+    assert capsys.readouterr().err == f"error: {56 ** 5} query tuples; use --samples for GF(8)\n"
 
 
 @pytest.mark.parametrize("k", ["5", "100000"])

@@ -5,12 +5,18 @@ with out-of-range numbers, non-prime-power fields, malformed scheme and
 v_seq files, missing files, unknown flags and non-numeric text.  Fields stay
 at q <= 16 and search budgets, sample counts and --qmax stay small, so each
 call is cheap.  argparse rejections raise SystemExit(2), which counts as 2.
+A second test feeds seeded mutations of valid scheme and v_seq files to the
+commands that read them.
 """
 
+import copy
 import json
 import random
 
 from qmlab.cli import cmd_dispatch, scheme_to_obj
+from qmlab.galois import field
+from qmlab.pqm import mqm_to_pqm
+from qmlab.qm import LeakageScheme
 from qmlab.shamir7 import gf7_scheme
 
 CALLS = 200
@@ -113,21 +119,107 @@ def _argv(rng: random.Random, files: dict) -> list:
     return command + some(("--json", None), *seed) + junk
 
 
+def _exit_code(argv) -> int:
+    try:
+        return cmd_dispatch(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        return exc.code
+
+
 def test_every_argv_exits_0_1_or_2(capsys, tmp_path):
     files = _files(tmp_path)
     rng = random.Random(20261018)
     seen = set()
     for _ in range(CALLS):
         argv = _argv(rng, files)
-        try:
-            code = cmd_dispatch(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+        code = _exit_code(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
+        if "--p" in argv or "--e" in argv:  # --q is the only field selector
+            assert code == 2 and "Traceback" not in err, argv
         seen.add(code)
         if code == 2:
             assert "error: " in err and "Traceback" not in err, argv
         elif "--json" in argv:
             assert json.loads(out)["ok"] is (code == 0), argv
+    assert seen == {0, 1, 2}
+
+
+MUTATIONS = ("drop", "type", "bool", "int", "truncate", "irreducible")
+
+
+def _paths(doc, out: list) -> list:
+    """Every (container, key) slot below doc, depth first."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+    else:
+        items = []
+    for key, val in items:
+        out.append((doc, key))
+        _paths(val, out)
+    return out
+
+
+def _mutate(rng: random.Random, doc: dict, p: int, e: int) -> dict:
+    """doc with one seeded mutation: a slot dropped, given another JSON type,
+    a bool or an out-of-range int, a list truncated, or the field's reducing
+    polynomial replaced by another, possibly reducible or non-monic one."""
+    doc = copy.deepcopy(doc)
+    kind = rng.choice(MUTATIONS)
+    if kind == "irreducible" and isinstance(doc.get("field"), dict):
+        poly = [rng.randrange(p) for _ in range(e)] + [rng.choice([1, 1, 0])]
+        doc["field"]["irreducible"] = poly
+        return doc
+    slots = _paths(doc, [])
+    if kind == "truncate":
+        slots = [(c, k) for c, k in slots if isinstance(c[k], list) and c[k]] or slots
+    container, key = rng.choice(slots)
+    if kind == "drop":
+        del container[key]
+    elif kind == "type":
+        container[key] = rng.choice(["7", 1.5, None, [], {}, [[]]])
+    elif kind == "bool":
+        container[key] = rng.choice([True, False])
+    elif kind == "int":
+        container[key] = rng.choice([-1, p**e, p ** (2 * e), 2**64])
+    elif isinstance(container[key], list):
+        container[key] = container[key][: rng.randrange(len(container[key]))]
+    return doc
+
+
+def test_mutated_scheme_and_v_files_exit_0_1_or_2(capsys, tmp_path):
+    gf8 = field(8)
+    gf8_scheme = LeakageScheme(gf8, 2, 0, 1, {1, 4, 7}, (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2))
+    schemes = [scheme_to_obj(gf7_scheme()), scheme_to_obj(gf8_scheme)]
+    v_doc = {"field": gf8.descriptor(), "v_seq": [sorted(v) for v in mqm_to_pqm(gf8_scheme)]}
+    rng = random.Random(20261019)
+    path = tmp_path / "mutated.json"
+    seen = set()
+    for n in range(160):
+        if n % 2 == 0:
+            doc = rng.choice(schemes)
+            p, e = doc["field"]["p"], doc["field"]["e"]
+            argvs = [["qm", "verify", "--scheme", str(path),
+                      "--domain", rng.choice(["all", "nonzero", "omega"])],
+                     ["qm", "convert", "--scheme", str(path)]]
+        else:
+            doc, p, e = v_doc, 2, 3
+            bits = ",".join(rng.choice("01") for _ in range(rng.randint(0, 5)))
+            argvs = [["pqm", "run", "--v-file", str(path), "--transcript", bits],
+                     ["game", "--q", "8", "--strategy", "replay", "--v-file", str(path)]]
+        for _ in range(rng.randint(1, 2)):
+            doc = _mutate(rng, doc, p, e)
+        path.write_text(json.dumps(doc))
+        for argv in argvs:
+            code = _exit_code(argv + ["--json"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 2), (argv, doc)
+            assert "Traceback" not in err, (argv, doc)
+            if code == 2:
+                assert err.startswith("error: ") and out == "", (argv, doc)
+            else:
+                assert json.loads(out)["ok"] is (code == 0), (argv, doc)
+            seen.add(code)
     assert seen == {0, 1, 2}

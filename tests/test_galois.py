@@ -12,7 +12,6 @@ from qmlab.galois import (
     add_elems,
     canonical_irreducible,
     field,
-    field_pe,
     find_primitive,
     find_primitive_zero_inv_trace,
     mask_complement,
@@ -294,7 +293,7 @@ def test_find_primitive_zero_inv_trace():
         find_primitive_zero_inv_trace(field(9))
     # witness for every binary field with 3 <= e <= 7
     for e in range(3, 8):
-        ctx = field_pe(2, e)
+        ctx = field(2**e)
         w = find_primitive_zero_inv_trace(ctx)
         assert ctx._order(w) == ctx.q - 1
         assert ctx.trace(ctx.inv(w)) == 0

@@ -53,7 +53,7 @@ def start_classes(ctx):
 
 def test_initial_state_is_reference_image_per_class():
     ctx = field(7)
-    out, state = run_pqm(ctx, build_sqrt_system(ctx), (), ())
+    out, state = run_pqm(ctx, (), ())
     assert list(state.classes) == [1, 2, 4]
     for mask in state.classes.values():
         assert mask == mask_of(b11(ctx))
@@ -63,21 +63,19 @@ def test_initial_state_is_reference_image_per_class():
 
 def test_round_validates_inputs():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx, ss, ({7},), (0,))
+        run_pqm(ctx, ({7},), (0,))
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx, ss, ({1},), (2,))
+        run_pqm(ctx, ({1},), (2,))
 
 
 def test_round_shrinks_and_bit1_never_drops_zero():
     ctx = field(9)  # reference image contains 0 here
-    ss = build_sqrt_system(ctx)
     v_seq = ({1, 4, 8}, {0, 2}, set())
-    _, state = run_pqm(ctx, ss, (), ())
+    _, state = run_pqm(ctx, (), ())
     assert all(mask & 1 for mask in state.classes.values())
     for n in range(1, len(v_seq) + 1):
-        _, nxt = run_pqm(ctx, ss, v_seq[:n], (1,) * n)
+        _, nxt = run_pqm(ctx, v_seq[:n], (1,) * n)
         for g in state.classes:
             assert nxt.classes[g] & ~state.classes[g] == 0
             assert nxt.classes[g] & 1  # 0 survives every bit-1 round
@@ -110,7 +108,7 @@ def test_round_matches_scaled_eliminator_reference():
             v_sets += [v | {0}, v - {0}]
         for v_set in v_sets:
             for bit in (0, 1):
-                _, got = run_pqm(ctx, ss, (v_set,), (bit,))
+                _, got = run_pqm(ctx, (v_set,), (bit,))
                 want = reference_round(ctx, ss, start, v_set, bit)
                 assert got.classes == want, (q, sorted(v_set), bit)
                 assert got.rounds == 1
@@ -203,7 +201,7 @@ def test_run_pqm_matches_round_by_round_reference():
             for v_set, bit in zip(v_seq, bits):
                 classes = reference_round(ctx, ss, classes, v_set, bit)
                 history.append(sum(m.bit_count() for m in classes.values()))
-            outcome, state = run_pqm(ctx, ss, v_seq, bits)
+            outcome, state = run_pqm(ctx, v_seq, bits)
             assert state.classes == classes and list(state.classes) == list(classes)
             assert state.history == tuple(history) and state.rounds == n
             left = sum(1 for m in classes.values() if m)
@@ -212,15 +210,15 @@ def test_run_pqm_matches_round_by_round_reference():
 
 def test_run_pqm_trivial_cases():
     ctx3 = field(3)
-    out, state = run_pqm(ctx3, build_sqrt_system(ctx3), (), ())
+    out, state = run_pqm(ctx3, (), ())
     assert out == SUCCESS and len(state.classes) == 1
 
     ctx7 = field(7)
-    out, state = run_pqm(ctx7, build_sqrt_system(ctx7), (), ())
+    out, state = run_pqm(ctx7, (), ())
     assert out == FAIL and state.nonempty() == [1, 2, 4]
 
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx7, build_sqrt_system(ctx7), ({1},), (0, 1))
+        run_pqm(ctx7, ({1},), (0, 1))
 
 
 # ---------------------------------------------------------------- translation
@@ -254,7 +252,7 @@ def test_empty_scheme_translates_to_empty_success():
     empty = LeakageScheme(ctx, 2, 0, 1, frozenset({1}), (), ())
     v_seq = mqm_to_pqm(empty)
     assert v_seq == ()
-    out, _ = run_pqm(ctx, build_sqrt_system(ctx), v_seq, ())
+    out, _ = run_pqm(ctx, v_seq, ())
     assert out == SUCCESS
 
 

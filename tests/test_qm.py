@@ -184,12 +184,11 @@ def test_mqm_check():
 
 def test_convert_eliminator_edges():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
-    assert convert_eliminator(ctx, ss, 0, 1) == frozenset()
-    assert convert_eliminator(ctx, ss, mask_full(7), 1) == frozenset(ctx.units)
-    assert convert_eliminator(ctx, ss, mask_of({0, 1}), 1) == frozenset({1})
+    assert convert_eliminator(ctx, 0, 1) == frozenset()
+    assert convert_eliminator(ctx, mask_full(7), 1) == frozenset(ctx.units)
+    assert convert_eliminator(ctx, mask_of({0, 1}), 1) == frozenset({1})
     with pytest.raises(RegimeMismatch):
-        convert_eliminator(ctx, ss, 1, 3)
+        convert_eliminator(ctx, 1, 3)
 
 
 def test_convert_eliminator_matches_relabel_route():
@@ -205,14 +204,14 @@ def test_convert_eliminator_matches_relabel_route():
         for a in om.elements:
             inv_ra = ctx.inv(ss.sqrt(a))
             for t_mask in masks:
-                got = convert_eliminator(ctx, ss, t_mask, a)
+                got = convert_eliminator(ctx, t_mask, a)
                 vals = set()
                 for g in om.elements:
                     rg = ss.sqrt(g)
                     for m in ctx.units:
                         h = make_line(ctx, ctx.mul(rg, ctx.inv(m)), ctx.mul(rg, m))
                         if (t_mask >> line_eval(ctx, h, a)) & 1:
-                            moved = relabel(ctx, ss, h, a)
+                            moved = relabel(ctx, h, a)
                             vals.add(ctx.mul(inv_ra, line_eval(ctx, moved, a)))
                             assert ctx.mul(rg, ctx.add(m, ctx.inv(m))) in got
                 assert vals == set(got)

@@ -220,27 +220,24 @@ def test_scaled_pair_members_of_b11():
 def test_union_size_frozen():
     for q, expect in [(3, 0), (7, 4), (8, 4), (9, 6), (13, 10)]:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
-        pair = scaled_pair(ctx, ss)
+        pair = scaled_pair(ctx)
         for delta in omega_set(ctx).elements:
-            assert scaled_pair_union_size(ctx, ss, pair, delta) == expect
+            assert scaled_pair_union_size(ctx, pair, delta) == expect
 
 
 def test_union_size_all_supported():
     for q in SUPPORTED_Q:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
-        pair = scaled_pair(ctx, ss)
+        pair = scaled_pair(ctx)
         expect = q - 4 if ctx.p == 2 else q - 3
         for delta in omega_set(ctx).elements:
-            assert scaled_pair_union_size(ctx, ss, pair, delta) == expect, q
+            assert scaled_pair_union_size(ctx, pair, delta) == expect, q
 
 
 def test_union_size_invalid_delta():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
-    pair = scaled_pair(ctx, ss)
+    pair = scaled_pair(ctx)
     with pytest.raises(InvalidDelta):
-        scaled_pair_union_size(ctx, ss, pair, 3)
+        scaled_pair_union_size(ctx, pair, 3)
     with pytest.raises(InvalidDelta):
-        scaled_pair_union_size(ctx, ss, pair, 0)
+        scaled_pair_union_size(ctx, pair, 0)

@@ -181,35 +181,31 @@ def test_canonical_lines_fill_the_bucket():
 
 def test_relabel_frozen_example():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
-    out = relabel(ctx, ss, make_line(ctx, 5, 3), 4)
+    out = relabel(ctx, make_line(ctx, 5, 3), 4)
     assert (out.m, out.b) == (6, 6)
 
 
 def test_relabel_identity_at_one():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
     line = make_line(ctx, 5, 3)
-    assert relabel(ctx, ss, line, 1) == line
+    assert relabel(ctx, line, 1) == line
 
 
 def test_relabel_rejections():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
     with pytest.raises(RegimeMismatch):
-        relabel(ctx, ss, make_line(ctx, 5, 3), 3)  # 3 not a square mod 7
+        relabel(ctx, make_line(ctx, 5, 3), 3)  # 3 not a square mod 7
     with pytest.raises(RegimeMismatch):
-        relabel(ctx, ss, make_line(ctx, 1, 3), 1)  # product 3 outside restricted set
+        relabel(ctx, make_line(ctx, 1, 3), 1)  # product 3 outside restricted set
 
 
 def test_relabel_permutes_bucket():
     for q in (7, 8, 9):
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
         for g in omega_set(ctx).elements:
             lines = bucket(ctx, g)
             for a in omega_set(ctx).elements:
-                image = {relabel(ctx, ss, l, a) for l in lines}
+                image = {relabel(ctx, l, a) for l in lines}
                 assert image == lines
 
 
@@ -224,27 +220,25 @@ def test_relabel_evaluation_identity():
                 scale = ctx.mul(ss.sqrt(g), ss.sqrt(a))
                 for m in ctx.units:
                     line = _h_line(ctx, ss, g, m)
-                    moved = relabel(ctx, ss, line, a)
+                    moved = relabel(ctx, line, a)
                     want = ctx.mul(scale, ctx.add(m, ctx.inv(m)))
                     assert line_eval(ctx, moved, a) == want
 
 
 def test_scalar_evolution_identity_case():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
-    assert scalar_evolution(ctx, ss, 2, 4, 2, 4)
+    assert scalar_evolution(ctx, 2, 4, 2, 4)
 
 
 def test_scalar_evolution_exhaustive():
     for q in (7, 8, 9):
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
         om = omega_set(ctx).elements
         for g in om:
             for a in om:
                 for d in om:
                     for be in om:
-                        assert scalar_evolution(ctx, ss, g, a, d, be)
+                        assert scalar_evolution(ctx, g, a, d, be)
 
 
 def test_scalar_evolution_checks_the_law_not_bucket_eval(monkeypatch):
@@ -254,35 +248,36 @@ def test_scalar_evolution_checks_the_law_not_bucket_eval(monkeypatch):
     monkeypatch.setattr(rscode, "bucket_eval", boom)
     for q in (7, 8, 9):
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
         om = omega_set(ctx).elements
         for g in om:
             for a in om:
-                assert scalar_evolution(ctx, ss, g, a, 1, 1)
+                assert scalar_evolution(ctx, g, a, 1, 1)
 
 
-def _tampered_sqrt_system(ctx, gamma, factor):
-    """The canonical system with sqrt(gamma) multiplied by factor (not +-1)."""
+def _tamper_root(monkeypatch, ctx, gamma, factor):
+    """Make rscode read ctx's canonical system with sqrt(gamma) multiplied by
+    factor (not +-1); every other field keeps its real system."""
     ss = build_sqrt_system(ctx)
     assert factor not in (1, ctx.neg(1))
-    return ss._replace(root={**ss.root, gamma: ctx.mul(factor, ss.root[gamma])})
+    bad = ss._replace(root={**ss.root, gamma: ctx.mul(factor, ss.root[gamma])})
+    monkeypatch.setattr(
+        rscode, "build_sqrt_system", lambda c: bad if c == ctx else build_sqrt_system(c)
+    )
 
 
-def test_scalar_evolution_detects_a_wrong_root():
+def test_scalar_evolution_detects_a_wrong_root(monkeypatch):
     ctx = field(7)
-    bad = _tampered_sqrt_system(ctx, 2, 2)
+    _tamper_root(monkeypatch, ctx, 2, 2)
     om = omega_set(ctx).elements
-    assert not scalar_evolution(ctx, bad, 2, 1, 1, 1)
-    assert not scalar_evolution(ctx, bad, 1, 1, 2, 1)
+    assert not scalar_evolution(ctx, 2, 1, 1, 1)
+    assert not scalar_evolution(ctx, 1, 1, 2, 1)
     # pairs that never read the tampered root still agree
-    assert all(scalar_evolution(ctx, bad, g, a, 1, 1) for g in om for a in om if 2 not in (g, a))
+    assert all(scalar_evolution(ctx, g, a, 1, 1) for g in om for a in om if 2 not in (g, a))
 
 
 def test_scalar_evolution_row_fails_on_a_wrong_root(capsys, monkeypatch):
     ctx = field(7)
-    bad = _tampered_sqrt_system(ctx, 2, 2)
-    real = cli.build_sqrt_system
-    monkeypatch.setattr(cli, "build_sqrt_system", lambda c: bad if c == ctx else real(c))
+    _tamper_root(monkeypatch, ctx, 2, 2)
     code = cli.cmd_dispatch(["suite", "--qmax", "7", "--json"])
     rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert code == 1
@@ -291,14 +286,13 @@ def test_scalar_evolution_row_fails_on_a_wrong_root(capsys, monkeypatch):
     witness = row["counterexample"]
     assert set(witness) == {"gamma", "alpha"}
     assert 2 in (witness["gamma"], witness["alpha"])
-    assert not scalar_evolution(ctx, bad, witness["gamma"], witness["alpha"], 1, 1)
+    assert not scalar_evolution(ctx, witness["gamma"], witness["alpha"], 1, 1)
 
 
 def test_scalar_evolution_rejects_outside():
     ctx = field(7)
-    ss = build_sqrt_system(ctx)
     with pytest.raises(RegimeMismatch):
-        scalar_evolution(ctx, ss, 3, 1, 1, 1)
+        scalar_evolution(ctx, 3, 1, 1, 1)
 
 
 def test_one_scaling_identity_small_fields():
