@@ -22,6 +22,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import time
@@ -76,7 +77,7 @@ from .residues import (
     quadratic_character,
     regime_of,
     scaled_pair,
-    scaled_pair_union_size,
+    scaled_pair_union_sizes,
 )
 from .rscode import bucket, bucket_eval, scalar_evolution
 from .shamir7 import download_cost, figure1_table, gf7_scheme, one_bit_leak, verify_gf7
@@ -380,7 +381,7 @@ def _union_sizes(ctx: FieldCtx, pair) -> tuple:
     """(expected size, {g: union size} over the restricted set, the sizes
     that differ keyed by str(g))."""
     expected = ctx.q - 3 if ctx.p > 2 else ctx.q - 4
-    sizes = {g: scaled_pair_union_size(ctx, pair, g) for g in omega_set(ctx).elements}
+    sizes = scaled_pair_union_sizes(ctx, pair)
     return expected, sizes, {str(g): n for g, n in sorted(sizes.items()) if n != expected}
 
 
@@ -1158,7 +1159,10 @@ def cmd_dispatch(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.started = started
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text(), flush=True)
+    except BrokenPipeError:  # the reader closed stdout early; the verdict stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.ok() else 1
 
 

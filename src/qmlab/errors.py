@@ -21,10 +21,6 @@ class NoPairExists(QmLabError):
     """No valid scaled pair exists over this field."""
 
 
-class InvalidDelta(QmLabError):
-    """The excluded product index is not a member of the restricted set."""
-
-
 class BudgetExceeded(QmLabError):
     """The search exhausted its node budget before finishing.
 

@@ -366,9 +366,8 @@ def search_min_bandwidth(
             tuple(a for a, _ in picked),
             tuple(m for _, m in picked),
         )
+        # no mqm_check: _separation_problem already kept only points in Omega
         assert verify_scheme(scheme, domain)
-        if mode == MQM:
-            assert mqm_check(scheme)
         return len(picked), scheme
 
     if not constraints:

@@ -19,15 +19,11 @@ two runs produce identical tables.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import (
-    InvalidDelta,
-    NoPairExists,
-    RegimeMismatch,
-    UnsupportedField,
-)
+from .errors import NoPairExists, RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, find_primitive_zero_inv_trace
 
 P3MOD4_E_ODD = "P3MOD4_E_ODD"
@@ -255,17 +251,17 @@ def scaled_pair(ctx: FieldCtx) -> ScaledPair:
     return ScaledPair(a, b)
 
 
-def scaled_pair_union_size(ctx: FieldCtx, pair: ScaledPair, delta: int) -> int:
-    """|union over g in Omega_q \\ {delta} of sqrt(g) * {a, b}|."""
+def scaled_pair_union_sizes(ctx: FieldCtx, pair: ScaledPair) -> dict:
+    """{delta: |union over g in Omega_q \\ {delta} of sqrt(g) * {a, b}|} for
+    every delta in Omega_q.
+
+    One pass counts how many roots hit each product; leaving delta out
+    loses exactly those of its two products that no other root hits.
+    """
     ss = build_sqrt_system(ctx)
-    om = ss.omega_set
-    if delta not in om:
-        raise InvalidDelta(f"{delta} is not in the restricted set of GF({ctx.q})")
-    union = set()
-    for g in om.elements:
-        if g == delta:
-            continue
-        r = ss.root[g]
-        union.add(ctx.mul(r, pair.a))
-        union.add(ctx.mul(r, pair.b))
-    return len(union)
+    products = {
+        g: (ctx.mul(ss.root[g], pair.a), ctx.mul(ss.root[g], pair.b))
+        for g in ss.omega_set.elements
+    }
+    hits = Counter(x for both in products.values() for x in both)
+    return {g: len(hits) - (hits[x] == 1) - (hits[y] == 1) for g, (x, y) in products.items()}

@@ -21,7 +21,7 @@ from qmlab.linleak import TraceQuery, linear_impossibility_check
 from qmlab.cli import _run_row, _suite_rows
 from qmlab.pqm import GameConfig, bandwidth_bound, mqm_to_pqm, play_game
 from qmlab.qm import LeakageScheme
-from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_size
+from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_sizes
 from qmlab.rscode import _enumerated_image, b11, bucket_eval, scalar_evolution
 from qmlab.shamir7 import download_cost, figure1_table, one_bit_leak, verify_gf7
 
@@ -98,10 +98,9 @@ def test_criterion_04_scaled_pair_unions():
     ok = True
     for q in fields:
         ctx = field(q)
-        pair = scaled_pair(ctx)
         want = q - 3 if ctx.p > 2 else q - 4
-        for d in omega_set(ctx).elements:
-            ok = ok and scaled_pair_union_size(ctx, pair, d) == want
+        sizes = scaled_pair_union_sizes(ctx, scaled_pair(ctx))
+        ok = ok and set(sizes) == set(omega_set(ctx).elements) and set(sizes.values()) == {want}
     _line(4, "scaled-pair unions hit q-3 (odd) / q-4 (binary) on all fields",
           ok, budget=30.0, took=time.perf_counter() - t0)
 

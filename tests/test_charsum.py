@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from functools import partial
 
 import pytest
 
+from qmlab import charsum, cli
 from qmlab.charsum import (
     artin_schreier_solvable,
     b11_trace_kernel_check,
@@ -58,6 +60,19 @@ def test_weil_bound_cubic_all_odd_q():
         rep = complete_char_sum(field(q), (0, 1, 0, 1))
         assert rep.square_free
         assert rep.within_bound, q
+
+
+def test_a_wrong_character_is_a_failed_weil_check(capsys, monkeypatch):
+    # chi = 1 everywhere sums x^3 + x to q = 7, past 2*sqrt(7)
+    monkeypatch.setattr(charsum, "quadratic_character", lambda ctx, x: 1)
+    code = cli.cmd_dispatch(["charsum", "--q", "7", "--poly", "0,1,0,1", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    (check,) = json.loads(captured.out)["checks"]
+    assert check["name"] == "weil-bound" and not check["pass"] and check["value"] == 7
+    (row,) = [row for row in cli._suite_rows(7, 0) if row.name == "weil-bound-gf7"]
+    check = cli._run_row(row)
+    assert not check["pass"] and "error" not in check, check
 
 
 def test_char_sum_shift_invariance():

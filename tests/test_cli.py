@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import qmlab
 from qmlab import cli, rscode
 from qmlab.cli import canonical_json, cmd_dispatch, read_scheme, scheme_from_obj, scheme_to_obj
 from qmlab.errors import SchemaError
@@ -124,6 +125,22 @@ def test_cli_import_leaves_out_dataclasses():
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+def test_qmlab_is_imported_from_this_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(qmlab.__file__).resolve().is_relative_to(src)
+
+
+def test_closed_stdout_prints_nothing_and_keeps_the_verdict():
+    # the reader stops after 10 bytes of a report far larger than a pipe buffer
+    argv = [sys.executable, "-m", "qmlab", "buckets", "--q", "243"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_exit_code_usage_error(capsys):

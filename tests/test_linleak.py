@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 
 import pytest
 
+from qmlab import cli, linleak
 from qmlab.errors import PreconditionViolated
 from qmlab.galois import field
 from qmlab.linleak import (
@@ -12,7 +14,6 @@ from qmlab.linleak import (
     decompose,
     linear_impossibility_check,
     trace_leak,
-    transcript_collision,
     zero_trace_line,
 )
 
@@ -137,7 +138,7 @@ def test_decompose_postconditions_everywhere():
 
 
 def test_collision_canonical_gf7():
-    f, ell = transcript_collision(field(7), [TraceQuery(1, 1)])
+    f, ell = linear_impossibility_check(field(7), 2, 0, 1, [TraceQuery(1, 1)])
     assert f == (0, 0)
     assert ell == (1, 6)
 
@@ -146,7 +147,7 @@ def test_collision_exhaustive_gf4():
     ctx = field(4)
     count = 0
     for tup in itertools.product(query_space(ctx), repeat=3):
-        f, ell = transcript_collision(ctx, tup)
+        f, ell = linear_impossibility_check(ctx, 2, 0, 1, tup)
         assert ctx.mul(f[0], f[1]) != ctx.mul(ell[0], ell[1])
         for qy in tup:
             assert trace_leak(ctx, qy, ctx.poly_eval(f, qy.alpha)) == trace_leak(
@@ -163,17 +164,60 @@ def test_collision_seeded_gf8():
         tup = tuple(
             TraceQuery(rng.randrange(1, 8), rng.randrange(8)) for _ in range(5)
         )
-        f, ell = transcript_collision(ctx, tup)
+        f, ell = linear_impossibility_check(ctx, 2, 0, 1, tup)
         assert ctx.mul(f[0], f[1]) != ctx.mul(ell[0], ell[1])
+
+
+def _off_by_one_kernel(monkeypatch):
+    """Patch the kernel so its last digit is one more than it should be."""
+    exact = linleak._kernel_vector
+
+    def wrong(rows, width, p):
+        vec = exact(rows, width, p)
+        return vec[:-1] + ((vec[-1] + 1) % p,)
+
+    monkeypatch.setattr(linleak, "_kernel_vector", wrong)
+
+
+def test_a_wrong_kernel_is_a_failed_check(capsys, monkeypatch):
+    _off_by_one_kernel(monkeypatch)
+    code = cli.cmd_dispatch(["linleak", "check", "--q", "8", "--samples", "5", "--json"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    first = next(cli._sampled_queries(field(8), 5, 1, 0))
+    assert (code, captured.err) == (1, "")
+    assert report["verified"] == 0 and report["witness"] is None
+    (check,) = report["checks"]
+    assert check["name"] == "all-collisions-verify" and not check["pass"]
+    assert check["counterexample"]["queries"] == [[qy.alpha, qy.gamma] for qy in first]
+
+
+def test_a_wrong_kernel_fails_the_suite_rows(monkeypatch):
+    # GF(4) has tuples whose wrong kernel vector is zero: still a failed row
+    _off_by_one_kernel(monkeypatch)
+    rows = {row.name: row for row in cli._suite_rows(8, 0)}
+    for name in ("linleak-exhaustive-gf4", "linleak-seeded-gf8"):
+        check = cli._run_row(rows[name])
+        assert not check["pass"] and "error" not in check, check
 
 
 # ---------------------------------------------------------------- impossibility
 
 
-def test_impossibility_check_gf4_exhaustive():
+def test_impossibility_check_gf4_exhaustive(monkeypatch):
+    # each tuple is verified once: two leaks per probe, 2 * 3 on GF(4)
+    calls = 0
+
+    def counted(ctx, query, x):
+        nonlocal calls
+        calls += 1
+        return trace_leak(ctx, query, x)
+
+    monkeypatch.setattr(linleak, "trace_leak", counted)
     ctx = field(4)
     for tup in itertools.product(query_space(ctx), repeat=3):
         assert linear_impossibility_check(ctx, 2, 0, 1, tup)
+    assert calls == 1728 * 2 * 3
 
 
 def test_impossibility_check_higher_dimension():

@@ -4,13 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from qmlab.errors import (
-    InvalidDelta,
-    NoPairExists,
-    RegimeMismatch,
-    UnsupportedField,
-)
-from qmlab.galois import field
+from qmlab.errors import NoPairExists, QmLabError, RegimeMismatch, UnsupportedField
+from qmlab.galois import field, prime_power
 from qmlab.residues import (
     BINARY,
     P1MOD4_OR_E_EVEN,
@@ -22,7 +17,7 @@ from qmlab.residues import (
     quartic_residues,
     regime_of,
     scaled_pair,
-    scaled_pair_union_size,
+    scaled_pair_union_sizes,
     upsilon_set,
 )
 
@@ -220,24 +215,35 @@ def test_scaled_pair_members_of_b11():
 def test_union_size_frozen():
     for q, expect in [(3, 0), (7, 4), (8, 4), (9, 6), (13, 10)]:
         ctx = field(q)
-        pair = scaled_pair(ctx)
-        for delta in omega_set(ctx).elements:
-            assert scaled_pair_union_size(ctx, pair, delta) == expect
+        sizes = scaled_pair_union_sizes(ctx, scaled_pair(ctx))
+        assert set(sizes) == set(omega_set(ctx).elements)
+        assert set(sizes.values()) == {expect}
 
 
 def test_union_size_all_supported():
     for q in SUPPORTED_Q:
         ctx = field(q)
-        pair = scaled_pair(ctx)
         expect = q - 4 if ctx.p == 2 else q - 3
-        for delta in omega_set(ctx).elements:
-            assert scaled_pair_union_size(ctx, pair, delta) == expect, q
+        assert set(scaled_pair_union_sizes(ctx, scaled_pair(ctx)).values()) == {expect}, q
 
 
-def test_union_size_invalid_delta():
-    ctx = field(7)
-    pair = scaled_pair(ctx)
-    with pytest.raises(InvalidDelta):
-        scaled_pair_union_size(ctx, pair, 3)
-    with pytest.raises(InvalidDelta):
-        scaled_pair_union_size(ctx, pair, 0)
+def test_union_sizes_match_the_union_per_delta():
+    # the reference builds each union over Omega minus delta outright
+    checked = 0
+    for q in range(2, 244):
+        if prime_power(q) is None:
+            continue
+        ctx = field(q)
+        try:
+            pair = scaled_pair(ctx)
+        except QmLabError:  # GF(2), GF(4): no restricted set; GF(5): no pair
+            continue
+        ss = build_sqrt_system(ctx)
+        om = ss.omega_set.elements
+        want = {
+            delta: len({ctx.mul(ss.root[g], x) for g in om if g != delta for x in pair})
+            for delta in om
+        }
+        assert scaled_pair_union_sizes(ctx, pair) == want, q  # keys: all of Omega
+        checked += 1
+    assert checked == 65
