@@ -62,6 +62,7 @@ from .qm import (
     InvalidScheme,
     LeakageScheme,
     _mode_domain,
+    _separation_problem,
     collision_witness,
     leak_bit,
     mqm_check,
@@ -533,7 +534,14 @@ def cmd_qm_search(args) -> RunReport:
         "found": got is not None,
     }
     if got is None:
-        checks = [_check("scheme-found", False, note="no scheme within --tmax")]
+        blocked = _separation_problem(ctx, _MODES[args.mode], servers)[2]
+        note = "no scheme within --tmax"
+        extra = {}
+        if blocked:
+            note = "no scheme at any bandwidth: two messages agree at every server"
+            (a, ga), (b, gb) = blocked
+            extra = {"counterexample": {"message_a": a, "message_b": b, "products": [ga, gb]}}
+        checks = [_check("scheme-found", False, note=note, **extra)]
     else:
         t, scheme = got
         payload["t"] = t
@@ -554,6 +562,9 @@ def cmd_qm_convert(args) -> RunReport:
 
 
 def cmd_pqm_run(args) -> RunReport:
+    for idx, bit in enumerate(args.transcript):
+        if bit not in (0, 1):
+            raise PreconditionViolated(f"--transcript[{idx}] = {bit} is not a bit (0 or 1)")
     ctx, v_seq = _read_v_file(args.v_file, args.q)
     outcome, state = run_pqm(ctx, v_seq, tuple(args.transcript))
     alive = state.nonempty()
@@ -582,6 +593,8 @@ def cmd_game(args) -> RunReport:
         file_ctx, v_seq = _read_v_file(args.v_file, ctx.q)
         if file_ctx != ctx:
             raise SchemaError(f"{args.v_file}: field descriptor differs from the selected field")
+        if not v_seq:
+            raise SchemaError(f"{args.v_file}: v_seq is empty, so the replay would play no round")
     config = GameConfig(
         ctx,
         args.strategy,

@@ -236,7 +236,8 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
     options): a constraint containing another's options sorts after it and
     is split whenever that one is, so the search never branches on it.
     Returns (points in canonical order, constraints, blocked) where blocked
-    flags a pair with no options at all.
+    is the first pair, in _domain_messages order, with no options at all:
+    ((c0, c1), g) twice, or None when every pair has one.
     """
     domain = _mode_domain(ctx, mode)
     messages = _domain_messages(ctx, domain)
@@ -247,7 +248,7 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
     evals = [
         tuple(ctx.poly_eval(coeffs, a) for coeffs, _ in messages) for a in alphas
     ]
-    blocked = False
+    blocked = None
     sigs: set[tuple] = set()
     for x in range(len(messages)):
         gx = messages[x][1]
@@ -261,8 +262,8 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
                     options.append((ai, u, v) if u < v else (ai, v, u))
             if options:
                 sigs.add(tuple(options))
-            else:
-                blocked = True
+            elif blocked is None:
+                blocked = (messages[x], messages[y])
     constraints = tuple(sorted(sigs, key=lambda s: (len(s), s)))
     return tuple(alphas), constraints, blocked
 
@@ -319,8 +320,9 @@ def search_min_bandwidth(
     every cross-bucket pair can be split somewhere: committing a pair to a
     point adds a must-split edge there, and a point with b bits can honor
     its edges iff they are 2**b-colorable.  Returns (t, scheme) or None when
-    no scheme exists within t_max; raises BudgetExceeded after `budget`
-    search nodes.  Beside the committed edges it keeps, and restores on
+    no scheme exists within t_max, or at all because a pair agrees at every
+    server (_separation_problem's blocked pair); raises BudgetExceeded after
+    `budget` search nodes.  Beside the committed edges it keeps, and restores on
     backtrack, each point's max degree, probe verdicts and side labels
     (2 * component + side, see _join_sides) and each constraint's count of
     committed options, so a node neither rescans degrees nor re-tests
@@ -372,8 +374,6 @@ def search_min_bandwidth(
 
     if not constraints:
         return finish((0,) * len(alphas), ((0,) * q,) * len(alphas))
-    if not alphas:
-        return None
 
     nodes = 0
     adj = [[0] * q for _ in alphas]

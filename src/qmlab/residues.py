@@ -4,14 +4,15 @@ The restricted set Omega_q is the set of nonzero squares for odd
 characteristic and, for binary fields with e >= 3, the even powers
 {w^(2i) : 0 <= i <= 2^(e-1)-2} of the canonical primitive element w with
 trace(1/w) = 0.  A square-root system picks one canonical root per member of
-Omega_q; which root is legal depends on the field's regime:
+Omega_q by one rule: the smallest root that is itself a square, else the
+root outside the exclusion set Upsilon = {sqrt(h)/b0 : h a fourth power},
+where sqrt(h) is h's smallest root and b0 the smallest non-square.
 
-* P3MOD4_E_ODD   (-1 is not a square): each square has exactly one square
-  root that is itself a square; take it.
-* P1MOD4_OR_E_EVEN (-1 is a square): members of the fourth-power set get
-  their smallest square root (both roots are squares); the remaining squares
-  get their smallest root outside QR and outside the exclusion set Upsilon.
-* BINARY: sqrt(w^(2i)) = w^i.
+Every unit is a square when p = 2 (so sqrt(w^(2i)) = w^i), and when -1 is
+not a square exactly one root of each square is a square; the first clause
+settles those fields.  When -1 is a square, both roots of a fourth power
+are squares, while a square g that is not a fourth power has two
+non-square roots y and -y, and Upsilon holds exactly one of them.
 
 Every "arbitrary" choice is resolved to the smallest element encoding so that
 two runs produce identical tables.
@@ -100,33 +101,6 @@ def regime_of(ctx: FieldCtx) -> str:
     return P1MOD4_OR_E_EVEN
 
 
-def upsilon_set(ctx: FieldCtx, a: int, b: int, partial_roots: dict) -> frozenset:
-    """The exclusion set {(a/b) * sqrt(g) : g a fourth power}.
-
-    Needs the -1-is-a-square regime, a a nonzero square, b a non-square, and
-    partial_roots assigning a square root inside QR to every fourth power.
-    The result lies inside the non-squares and contains no pair {y, -y}: the
-    two roots of a fourth power are negatives of each other and partial_roots
-    keeps exactly one per element.
-    """
-    if regime_of(ctx) != P1MOD4_OR_E_EVEN:
-        raise RegimeMismatch(f"upsilon set undefined in regime {regime_of(ctx)}")
-    if quadratic_character(ctx, a) != 1 or quadratic_character(ctx, b) != -1:
-        raise RegimeMismatch("need a a nonzero square and b a non-square")
-    r4 = quartic_residues(ctx)
-    qr = _qr_set(ctx)
-    ratio = ctx.div(a, b)
-    out = set()
-    for g in r4:
-        root = partial_roots[g]
-        assert ctx.mul(root, root) == g and root in qr
-        out.add(ctx.mul(ratio, root))
-    assert len(out) == len(r4)
-    assert all(quadratic_character(ctx, y) == -1 for y in out)
-    assert not any(ctx.neg(y) in out for y in out)
-    return frozenset(out)
-
-
 class SqrtSystem(NamedTuple):
     ctx: FieldCtx
     omega_set: OmegaSet
@@ -156,35 +130,14 @@ def build_sqrt_system(ctx: FieldCtx) -> SqrtSystem:
         raise UnsupportedField(f"no square-root system over GF({ctx.q})")
     om = omega_set(ctx)
     regime = regime_of(ctx)
-    root: dict[int, int] = {}
-    if regime == BINARY:
-        w = om.omega
-        x = 1  # w^(2i); its canonical root is w^i
-        r = 1
-        for _ in range(len(om.elements)):
-            root[x] = r
-            x = ctx.mul(x, ctx.mul(w, w))
-            r = ctx.mul(r, w)
-    elif regime == P3MOD4_E_ODD:
-        qr = _qr_set(ctx)
-        roots = _square_roots(ctx)
-        for g in om.elements:
-            inside = [x for x in roots[g] if x in qr]
-            assert len(inside) == 1  # unique square root inside QR
-            root[g] = inside[0]
-    else:
-        qr = _qr_set(ctx)
-        r4 = quartic_residues(ctx)
-        roots = _square_roots(ctx)
-        for g in sorted(r4):
-            root[g] = next(x for x in roots[g] if x in qr)
-        # exclusion set built from the canonical square/non-square pair (1, b0)
+    qr = _qr_set(ctx)
+    roots = _square_roots(ctx)
+    upsilon = frozenset()
+    if regime == P1MOD4_OR_E_EVEN:  # only here can both roots be non-squares
         b0 = min(x for x in ctx.units if x not in qr)
-        ups = upsilon_set(ctx, 1, b0, root)
-        for g in sorted(om.member_set - r4):
-            root[g] = next(x for x in roots[g] if x not in qr and x not in ups)
-    for g, r in root.items():
-        assert ctx.mul(r, r) == g
+        upsilon = frozenset(ctx.div(roots[h][0], b0) for h in quartic_residues(ctx))
+    # the smallest root that is a square, else the smallest outside Upsilon
+    root = {g: min(roots[g], key=lambda x: (x not in qr, x in upsilon)) for g in om.elements}
     return SqrtSystem(ctx, om, root, regime)
 
 

@@ -516,6 +516,59 @@ def test_suite_rejects_qmax_below_three(capsys, qmax):
     assert code == 0 and len(report["checks"]) == report["passed"] > 0
 
 
+def _qmlab(*argv):
+    argv = [sys.executable, "-m", "qmlab", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize(
+    "q, mode, server, a, b",
+    [(8, "appendix", 0, [1, 1], [1, 2]), (7, "qm", 3, [0, 0], [1, 2])],
+)
+def test_qm_search_names_a_pair_no_bandwidth_separates(q, mode, server, a, b):
+    done = _qmlab("qm", "search", "--q", str(q), "--mode", mode, "--servers", str(server),
+                  "--json")
+    assert (done.returncode, done.stderr) == (1, "")
+    report = json.loads(done.stdout)
+    (check,) = report["checks"]
+    assert report["found"] is False and not check["pass"]
+    assert check["note"] == "no scheme at any bandwidth: two messages agree at every server"
+    ctx = field(q)
+    products = [ctx.mul(*a), ctx.mul(*b)]
+    assert check["counterexample"] == {"message_a": a, "message_b": b, "products": products}
+    assert products[0] != products[1]
+    assert ctx.poly_eval(tuple(a), server) == ctx.poly_eval(tuple(b), server)
+
+
+def test_qm_search_blames_tmax_only_when_the_bits_ran_out():
+    done = _qmlab("qm", "search", "--q", "7", "--mode", "mqm", "--servers", "1,2,4",
+                  "--tmax", "2", "--json")
+    assert (done.returncode, done.stderr) == (1, "")
+    (check,) = json.loads(done.stdout)["checks"]
+    assert check == {"name": "scheme-found", "note": "no scheme within --tmax", "pass": False}
+
+
+def test_pqm_run_names_the_transcript_entry_that_is_no_bit(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"v_seq": [[1], [2]]}))
+    for bits, bad in (("0,2", "--transcript[1] = 2"), ("1,-1", "--transcript[1] = -1")):
+        done = _qmlab("pqm", "run", "--q", "7", "--v-file", str(path), "--transcript", bits)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {bad} is not a bit (0 or 1)\n"
+
+
+def test_game_replay_rejects_an_empty_v_seq(tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"v_seq": []}))
+    done = _qmlab("game", "--q", "9", "--strategy", "replay", "--v-file", str(path), "--json")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {path}: v_seq is empty, so the replay would play no round\n"
+    # replaying no eliminator leaves every class: pqm run reports that as a FAIL
+    done = _qmlab("pqm", "run", "--q", "9", "--v-file", str(path), "--transcript", "", "--json")
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(done.stdout)["classes_left"] == [1, 2, 3, 6]
+
+
 @pytest.mark.parametrize(
     "flag, value, least", [("--tmax", "-1", 0), ("--budget", "0", 1), ("--budget", "-5", 1)]
 )

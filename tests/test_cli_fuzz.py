@@ -13,6 +13,8 @@ import copy
 import json
 import random
 
+import pytest
+
 from qmlab.cli import cmd_dispatch, scheme_to_obj
 from qmlab.galois import field
 from qmlab.pqm import mqm_to_pqm
@@ -34,6 +36,7 @@ def _files(tmp_path) -> dict:
         "scheme-bool": {**scheme, "servers": [True, 2]},
         "v": {"field": scheme["field"], "v_seq": [[0, 1, 6], [2, 5], [3, 4]]},
         "v-bare": {"v_seq": [[1], [2, 3]]},
+        "v-empty": {"v_seq": []},
         "v-out-of-field": {"v_seq": [[0, 99]]},
         "v-not-list": {"v_seq": 5},
         "list": [1, 2, 3],
@@ -143,6 +146,25 @@ def test_every_argv_exits_0_1_or_2(capsys, tmp_path):
         elif "--json" in argv:
             assert json.loads(out)["ok"] is (code == 0), argv
     assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["pqm", "run", "--v-file", "v", "--transcript", bits] for bits in ("2", "-1", "0,,1", "0,1")]
+    + [["game", "--q", "7", "--strategy", "replay", "--v-file", "v-empty"]],
+)
+def test_bad_transcripts_and_an_empty_replay_exit_0_1_or_2(capsys, tmp_path, argv):
+    # "v" holds three eliminators, so "0,,1" (read as 0,1) and "0,1" are one bit short
+    files = _files(tmp_path)
+    argv = [files.get(arg, arg) for arg in argv]
+    for flags in ([], ["--json"]):
+        code = _exit_code(argv + flags)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2) and "Traceback" not in err, argv
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1 and out == "", argv
+        elif flags:
+            assert json.loads(out)["ok"] is (code == 0), argv
 
 
 MUTATIONS = ("drop", "type", "bool", "int", "truncate", "irreducible")

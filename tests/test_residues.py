@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from qmlab import cli, residues
 from qmlab.errors import NoPairExists, QmLabError, RegimeMismatch, UnsupportedField
 from qmlab.galois import field, prime_power
 from qmlab.residues import (
@@ -18,7 +21,6 @@ from qmlab.residues import (
     regime_of,
     scaled_pair,
     scaled_pair_union_sizes,
-    upsilon_set,
 )
 
 SUPPORTED_Q = [
@@ -157,31 +159,120 @@ def test_sqrt_lookup_outside_restricted_set():
         ss.sqrt(3)
 
 
-def test_upsilon_gf9():
-    ctx = field(9)
-    roots = {1: 1, 2: 3}
-    ups = upsilon_set(ctx, 1, 4, roots)
-    assert ups == frozenset({5, 8})
+def _squares(ctx) -> frozenset:
+    return frozenset(ctx.mul(x, x) for x in ctx.units)
 
 
-def test_upsilon_gf13():
-    ctx = field(13)
-    roots = {1: 1, 3: 4, 9: 3}
-    ups = upsilon_set(ctx, 1, 2, roots)
-    assert ups == frozenset({2, 7, 8})
-    for y in ups:
-        assert quadratic_character(ctx, y) == -1
-        assert ctx.neg(y) not in ups
+def _reference_upsilon(ctx, a: int, b: int, partial_roots: dict) -> frozenset:
+    """{(a/b) * sqrt(g) : g a fourth power}, sqrt(g) read from partial_roots;
+    a non-square set holding one of each pair {y, -y} when -1 is a square."""
+    qr = _squares(ctx)
+    r4 = quartic_residues(ctx)
+    ratio = ctx.div(a, b)
+    out = set()
+    for g in r4:
+        root = partial_roots[g]
+        assert ctx.mul(root, root) == g and root in qr
+        out.add(ctx.mul(ratio, root))
+    assert len(out) == len(r4)
+    assert all(quadratic_character(ctx, y) == -1 for y in out)
+    assert not any(ctx.neg(y) in out for y in out)
+    return frozenset(out)
 
 
-def test_upsilon_rejections():
-    with pytest.raises(RegimeMismatch):
-        upsilon_set(field(7), 1, 3, {})  # wrong regime
-    ctx = field(13)
-    with pytest.raises(RegimeMismatch):
-        upsilon_set(ctx, 2, 2, {})  # a must be a nonzero square
-    with pytest.raises(RegimeMismatch):
-        upsilon_set(ctx, 1, 3, {})  # b must be a non-square
+def _three_branch_roots(ctx) -> dict:
+    """The canonical roots built regime by regime: w^i for w^(2i) on binary
+    fields; the unique square root that is a square when -1 is not a square;
+    otherwise the smallest square root of each fourth power and, for every
+    other square, the smallest non-square root outside Upsilon, built from
+    the pair (1, smallest non-square)."""
+    om = omega_set(ctx)
+    root = {}
+    if regime_of(ctx) == BINARY:
+        w = om.omega
+        x = r = 1
+        for _ in om.elements:
+            root[x] = r
+            x = ctx.mul(x, ctx.mul(w, w))
+            r = ctx.mul(r, w)
+        return root
+    qr = _squares(ctx)
+    roots = {}
+    for x in ctx.elements:
+        roots.setdefault(ctx.mul(x, x), []).append(x)
+    if regime_of(ctx) == P3MOD4_E_ODD:
+        for g in om.elements:
+            (root[g],) = [x for x in roots[g] if x in qr]
+        return root
+    r4 = quartic_residues(ctx)
+    for g in sorted(r4):
+        root[g] = next(x for x in roots[g] if x in qr)
+    b0 = min(x for x in ctx.units if x not in qr)
+    ups = _reference_upsilon(ctx, 1, b0, root)
+    for g in sorted(om.member_set - r4):
+        root[g] = next(x for x in roots[g] if x not in qr and x not in ups)
+    return root
+
+
+def test_one_rule_matches_the_three_branch_construction():
+    checked = 0
+    for q in range(2, 1025):
+        if prime_power(q) is None or q in (2, 4, 5):
+            continue
+        ctx = field(q)
+        assert build_sqrt_system(ctx).root == _three_branch_roots(ctx), q
+        checked += 1
+    assert checked == 195
+
+
+@pytest.mark.parametrize(
+    "q, b0, upsilon", [(9, 4, {5, 8}), (13, 2, {2, 7, 8})], ids=["gf9", "gf13"]
+)
+def test_roots_of_other_squares_avoid_upsilon(q, b0, upsilon):
+    # Upsilon holds one of the two non-square roots of each square that is
+    # not a fourth power; the canonical root is the other one
+    ctx = field(q)
+    qr = _squares(ctx)
+    assert min(x for x in ctx.units if x not in qr) == b0
+    roots = build_sqrt_system(ctx).root
+    r4 = quartic_residues(ctx)
+    assert _reference_upsilon(ctx, 1, b0, {g: roots[g] for g in r4}) == upsilon
+    others = [g for g in roots if g not in r4]
+    assert others
+    for g in others:
+        assert roots[g] not in upsilon and ctx.neg(roots[g]) in upsilon
+
+
+@pytest.fixture
+def shifted_roots_of_4(monkeypatch):
+    """_square_roots with each root of 4 moved up by one (GF(7): 4 -> [3, 6])."""
+    exact = residues._square_roots
+
+    def shifted(ctx):
+        roots = exact(ctx)
+        roots[4] = [(x + 1) % ctx.q for x in roots[4]]
+        return roots
+
+    monkeypatch.setattr(residues, "_square_roots", shifted)
+    build_sqrt_system.cache_clear()
+    yield
+    monkeypatch.undo()
+    build_sqrt_system.cache_clear()
+
+
+def test_a_wrong_root_table_is_a_failed_check(capsys, shifted_roots_of_4):
+    # sqrt(4) reads 3: the union without 2 loses 4 and 6, which only 2's roots hit
+    code = cli.cmd_dispatch(["residues", "--q", "7", "--json"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    report = json.loads(captured.out)
+    assert report["sqrt"] == {"1": 1, "2": 4, "4": 3}
+    union = next(c for c in report["checks"] if c["name"] == "union-sizes")
+    assert not union["pass"] and union["counterexample"] == {"2": 3}
+    rows = {row.name: row for row in cli._suite_rows(7, 0)}
+    for name in ("union-sizes-gf7", "scalar-evolution-gf7"):
+        check = cli._run_row(rows[name])
+        assert not check["pass"] and "error" not in check and check["counterexample"], check
 
 
 def test_scaled_pair_frozen():
