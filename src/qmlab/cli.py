@@ -309,7 +309,14 @@ def _read_v_file(path: str, q: int | None) -> tuple:
 
 
 def _csv_ints(text: str) -> list:
-    return [int(x) for x in text.split(",") if x != ""]
+    # an empty entry is None, for the command to name through _no_empty
+    return [int(x) if x else None for x in text.split(",")] if text else []
+
+
+def _no_empty(flag: str, values) -> None:
+    for idx, v in enumerate(values or ()):
+        if v is None:
+            raise PreconditionViolated(f"{flag}[{idx}] is empty")
 
 
 def _grid_lines(ctx: FieldCtx, cells: dict) -> list:
@@ -454,20 +461,13 @@ def cmd_residues(args) -> RunReport:
 
 
 def cmd_charsum(args) -> RunReport:
+    _no_empty("--poly", args.poly)
     ctx = field(args.q)
     for idx, c in enumerate(args.poly):
         if not 0 <= c < ctx.q:
             raise PreconditionViolated(f"--poly[{idx}] = {c} is not an element of GF({ctx.q})")
     report = complete_char_sum(ctx, tuple(args.poly))
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "poly": list(report.poly),
-        "value": report.value,
-        "bound": report.bound,
-        "within_bound": report.within_bound,
-        "square_free": report.square_free,
-    }
+    payload = {"field": ctx.descriptor(), "q": ctx.q, **report._asdict()}
     ok = report.within_bound or not report.square_free
     checks = [_check("weil-bound", ok, value=report.value, bound=report.bound)]
     return RunReport("charsum", payload, checks)
@@ -512,6 +512,7 @@ def cmd_qm_search(args) -> RunReport:
         raise PreconditionViolated(f"--budget must be at least 1, got {args.budget}")
     if args.servers == []:
         raise PreconditionViolated("--servers lists no point")
+    _no_empty("--servers", args.servers)
     servers = frozenset(ctx.elements if args.servers is None else args.servers)
     if args.servers is not None and _MODES[args.mode] == MQM:
         om = omega_set(ctx)
@@ -562,6 +563,7 @@ def cmd_qm_convert(args) -> RunReport:
 
 
 def cmd_pqm_run(args) -> RunReport:
+    _no_empty("--transcript", args.transcript)
     for idx, bit in enumerate(args.transcript):
         if bit not in (0, 1):
             raise PreconditionViolated(f"--transcript[{idx}] = {bit} is not a bit (0 or 1)")
@@ -677,6 +679,7 @@ def cmd_gf7_table(args) -> RunReport:
 
 
 def cmd_gf7_leak(args) -> RunReport:
+    _no_empty("--set", args.set)
     t_set = set(args.set)
     if not (0 <= args.alpha < 7 and all(0 <= x < 7 for x in t_set)):
         raise PreconditionViolated("--alpha and --set must be GF(7) elements")
@@ -717,13 +720,8 @@ def _sc_union_sizes(q: int) -> tuple:
 
 
 def _sc_scalar_evolution(q: int) -> tuple:
-    ctx = field(q)
-    om = omega_set(ctx)
-    for g in om.elements:
-        for a in om.elements:
-            if not scalar_evolution(ctx, g, a, 1, 1):
-                return _failing({"gamma": g, "alpha": a})
-    return True, {}
+    bad = scalar_evolution(field(q))
+    return _failing(bad and {"gamma": bad[0], "alpha": bad[1]})
 
 
 def _sc_weil(q: int) -> tuple:
@@ -1062,7 +1060,7 @@ def cmd_suite(args) -> RunReport:
             start = time.perf_counter()
             checks.append(_run_row(row))
             if timings is not None:
-                timings.write(f"{time.perf_counter() - start:.6f}\n")
+                timings.write(f"{time.perf_counter() - start:.6f} {row.name}\n")
     payload = {
         "qmax": args.qmax,
         "seed": args.seed,
@@ -1159,7 +1157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     seed_flag(sp)
     sp.add_argument("--qmax", type=int, default=64, help="largest field size to cover")
     sp.add_argument("--timings", metavar="FILE", default=None,
-                    help="write each check's wall time in seconds to FILE, in report order")
+                    help="write '<seconds> <check name>' per check to FILE, in report order")
     return parser
 
 

@@ -26,13 +26,12 @@ q - 1 images, one per k.
 
 Direct evaluation of every line of a bucket stays as the private reference
 `_enumerated_image`: it supplies the two bases, and `scalar_evolution` and
-the tests check the law against it.  It evaluates a bucket's lines in bulk,
-m*alpha + b for all of them at once: the slopes and intercepts are read from
-`bucket(gamma)` once per gamma, the slopes are scaled by alpha with
-`galois.scale_elems` and the intercepts added with `galois.add_elems`.
-This is still one evaluation per line of the bucket; it reads neither the
-law nor the images built from it, so the check compares two independent
-computations.
+the tests check the law against it.  Line i of a unit bucket is m = g^i,
+b = gamma * g^-i, so over the two-period exp table its columns m*alpha and b
+are the slices exp[log alpha + i] and exp[log gamma + (q - 1) - i], added in
+one `galois.add_elems` pass.  It reads neither the law nor the images built
+from it.  `scalar_evolution` checks a whole field in one sweep: the
+reference image once, its rescaling once per root ratio, every pair once.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
-from .galois import FieldCtx, add_elems, mask_full, mask_of, scale_elems, scale_mask
+from .galois import FieldCtx, add_elems, mask_elems, mask_full, mask_of, scale_elems, scale_mask
 from .residues import b11, build_sqrt_system, omega_set  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
@@ -76,23 +75,26 @@ def bucket(ctx: FieldCtx, gamma: int) -> frozenset:
     return frozenset(lines)
 
 
-@lru_cache(maxsize=None)
-def _bucket_columns(ctx: FieldCtx, gamma: int) -> tuple:
-    """(slopes, intercepts) of bucket(gamma), in the same line order."""
-    slopes, intercepts, _products = zip(*bucket(ctx, gamma))
-    return slopes, intercepts
+def _unit_values(ctx: FieldCtx, gamma: int, alpha: int) -> list:
+    """f(alpha) for the q - 1 lines of unit bucket gamma, line i being m = g^i,
+    b = gamma * g^-i: two slices of the exp table and one add pass."""
+    exp, log, n = ctx._exp, ctx._log, ctx.q - 1
+    lg, la = log[gamma], log[alpha]
+    intercepts = exp[lg + n : lg : -1]
+    return add_elems(ctx, exp[la : la + n], intercepts) if alpha else intercepts
 
 
 @lru_cache(maxsize=None)
 def _enumerated_image(ctx: FieldCtx, gamma: int, alpha: int) -> int:
-    """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket.
-
-    Every line at once: the slopes times alpha through `scale_elems`, plus
-    each line's intercept through `add_elems`.  It never reads `_scaled_image`
-    or `bucket_eval`, so it stays independent of the law it checks.
-    """
-    slopes, intercepts = _bucket_columns(ctx, gamma)
-    return mask_of(add_elems(ctx, scale_elems(ctx, alpha, slopes), intercepts))
+    """The q-bit mask of B_gamma(alpha), evaluating every line of the bucket:
+    the zero bucket's (m, 0) and (0, b) give m*alpha and b, a unit bucket's
+    lines come from `_unit_values`.  It never reads `_scaled_image` or
+    `bucket_eval`, so it stays independent of the law it checks."""
+    if ctx.q > _BUCKET_LIMIT:  # also keeps ctx inside galois's exp/log table limit
+        raise UnsupportedField(f"bucket enumeration capped at q <= {_BUCKET_LIMIT}")
+    if gamma == 0:
+        return mask_of(scale_elems(ctx, alpha, ctx.elements)) | mask_of(ctx.elements)
+    return mask_of(_unit_values(ctx, gamma, alpha))
 
 
 @lru_cache(maxsize=None)
@@ -141,20 +143,20 @@ def relabel(ctx: FieldCtx, line: Line, alpha: int) -> Line:
     return out
 
 
-@lru_cache(maxsize=None)
-def _rescaled_image(ctx: FieldCtx, scale: int, delta: int, beta: int) -> int:
-    """scale * B_delta(beta), from the direct reference; at most q - 1 scales."""
-    return scale_mask(ctx, scale, _enumerated_image(ctx, delta, beta))
-
-
-def scalar_evolution(ctx: FieldCtx, gamma: int, alpha: int, delta: int, beta: int) -> bool:
-    """Whether B_gamma(alpha) = (sqrt(gamma)sqrt(alpha)/sqrt(delta)sqrt(beta)) * B_delta(beta)."""
+def scalar_evolution(ctx: FieldCtx, delta: int = 1, beta: int = 1) -> tuple | None:
+    """The first (gamma, alpha) in Omega^2, gamma outermost, where
+    B_gamma(alpha) != (sqrt(gamma)sqrt(alpha)/sqrt(delta)sqrt(beta)) * B_delta(beta),
+    or None.  Raises RegimeMismatch for delta or beta outside Omega."""
     ss = build_sqrt_system(ctx)
-    om = omega_set(ctx)
-    for v in (gamma, alpha, delta, beta):
-        if v not in om:
-            raise RegimeMismatch(f"{v} outside the restricted set")
-    num = ctx.mul(ss.sqrt(gamma), ss.sqrt(alpha))
+    root, om = ss.root, ss.omega_set.elements
     den = ctx.mul(ss.sqrt(delta), ss.sqrt(beta))
-    rhs = _rescaled_image(ctx, ctx.div(num, den), delta, beta)
-    return _enumerated_image(ctx, gamma, alpha) == rhs
+    ref = mask_elems(_enumerated_image(ctx, delta, beta))
+    rhs = {}  # scale -> the set scale * B_delta(beta); at most q - 1 scales
+    for g in om:
+        for a in om:
+            scale = ctx.div(ctx.mul(root[g], root[a]), den)
+            if scale not in rhs:
+                rhs[scale] = set(scale_elems(ctx, scale, ref))
+            if set(_unit_values(ctx, g, a)) != rhs[scale]:
+                return g, a
+    return None

@@ -223,6 +223,26 @@ def test_charsum_rejects_out_of_field_coefficients(capsys):
         assert err.startswith("error: ") and entry in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["charsum", "--q", "7", "--poly", "0,,1"], "--poly[1]"),
+        (["charsum", "--q", "7", "--poly", "0,1,"], "--poly[2]"),
+        (["charsum", "--q", "7", "--poly", ",0,1"], "--poly[0]"),
+        (["qm", "search", "--q", "7", "--servers", "1,,2"], "--servers[1]"),
+        (["pqm", "run", "--q", "7", "--v-file", "v.json", "--transcript", "0,,1"],
+         "--transcript[1]"),
+        (["gf7", "leak", "--alpha", "1", "--set", "0,1,6,"], "--set[3]"),
+    ],
+)
+def test_an_empty_list_entry_is_named_not_dropped(capsys, argv, entry):
+    # read as 0,1 the polynomial would be x, not x**2, and the server set {1, 2}
+    assert cmd_dispatch(argv + ["--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {entry} is empty\n"
+
+
 def test_buckets_text_grid(capsys):
     code, out = run_cli(capsys, ["buckets", "--q", "3"])
     assert code == 0
@@ -598,12 +618,16 @@ def test_qm_search_budget_error_states_the_proven_bound(capsys, q, mode, servers
     )
 
 
-@pytest.mark.parametrize("servers", ["--servers=", "--servers=,"])
-def test_qm_search_rejects_an_empty_server_list(capsys, servers):
+@pytest.mark.parametrize(
+    "servers, message",
+    [("--servers=", "--servers lists no point"), ("--servers=,", "--servers[0] is empty")],
+    ids=["--servers=", "--servers=,"],
+)
+def test_qm_search_rejects_an_empty_server_list(capsys, servers, message):
     assert cmd_dispatch(["qm", "search", "--q", "5", "--mode", "qm", servers, "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --servers lists no point\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_qm_search_mqm_rejects_servers_outside_the_restricted_set(capsys):
@@ -772,9 +796,9 @@ def test_suite_timings_file_leaves_json_unchanged(capsys, tmp_path):
     timings = tmp_path / "timings.txt"
     code_timed, timed = run_cli(capsys, argv + ["--timings", str(timings)])
     assert (code_timed, timed) == (code, plain)
-    walls = timings.read_text(encoding="utf-8").splitlines()
-    assert len(walls) == len(json.loads(plain)["checks"])
-    assert all(float(w) >= 0 for w in walls)
+    lines = [line.split(" ", 1) for line in timings.read_text(encoding="utf-8").splitlines()]
+    assert [name for _, name in lines] == [c["name"] for c in json.loads(plain)["checks"]]
+    assert all(float(wall) >= 0 for wall, _ in lines)
 
 
 def test_suite_timings_unwritable_path_exits_2(capsys, tmp_path):

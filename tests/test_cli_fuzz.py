@@ -154,7 +154,7 @@ def test_every_argv_exits_0_1_or_2(capsys, tmp_path):
     + [["game", "--q", "7", "--strategy", "replay", "--v-file", "v-empty"]],
 )
 def test_bad_transcripts_and_an_empty_replay_exit_0_1_or_2(capsys, tmp_path, argv):
-    # "v" holds three eliminators, so "0,,1" (read as 0,1) and "0,1" are one bit short
+    # "v" holds three eliminators, so "0,1" is one bit short; "0,,1" has an empty entry
     files = _files(tmp_path)
     argv = [files.get(arg, arg) for arg in argv]
     for flags in ([], ["--json"]):
@@ -165,6 +165,28 @@ def test_bad_transcripts_and_an_empty_replay_exit_0_1_or_2(capsys, tmp_path, arg
             assert err.startswith("error: ") and err.count("\n") == 1 and out == "", argv
         elif flags:
             assert json.loads(out)["ok"] is (code == 0), argv
+
+
+def test_an_empty_list_entry_exits_2(capsys, tmp_path):
+    # a leading, doubled or trailing comma is named, whatever else is wrong with the list
+    files = _files(tmp_path)
+    commands = {
+        "--poly": ["charsum", "--q", "7"],
+        "--servers": ["qm", "search", "--q", "7", "--budget", "40"],
+        "--transcript": ["pqm", "run", "--v-file", files["v"]],
+    }
+    rng = random.Random(20261019)
+    for n in range(60):
+        flag = rng.choice(sorted(commands))
+        entries = [str(rng.randint(-1, 9)) for _ in range(rng.randint(1, 4))]
+        empty = (0, len(entries) // 2, len(entries))[n % 3]
+        entries.insert(empty, "")
+        # one argv word, so a leading -1 is not read as a flag
+        argv = commands[flag] + [f"{flag}={','.join(entries)}"] + rng.choice([[], ["--json"]])
+        code = _exit_code(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err == f"error: {flag}[{empty}] is empty\n", argv
 
 
 MUTATIONS = ("drop", "type", "bool", "int", "truncate", "irreducible")

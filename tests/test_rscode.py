@@ -9,7 +9,7 @@ import pytest
 
 from qmlab import cli, rscode
 from qmlab.errors import RegimeMismatch, UnsupportedField
-from qmlab.galois import field, mask_of, prime_power
+from qmlab.galois import field, mask_full, mask_of, prime_power, scale_mask
 from qmlab.residues import build_sqrt_system, omega_set
 from qmlab.rscode import (
     _enumerated_image,
@@ -100,13 +100,19 @@ def _line_by_line(ctx, gamma, alpha):
 
 
 def test_enumerated_image_matches_line_by_line_on_every_pair():
-    for q in range(2, 33):
-        if prime_power(q) is None:
-            continue
+    for q in [q for q in range(2, 33) if prime_power(q)] + [49, 64]:
         ctx = field(q)
         for g in ctx.elements:
             for a in ctx.elements:
                 assert _enumerated_image(ctx, g, a) == _line_by_line(ctx, g, a), (q, g, a)
+        # the ends of both exp-table slices: log gamma = q - 2 reads the
+        # intercepts up to exp[2(q - 1) - 1], log alpha = 0 the slopes from exp[0]
+        last = ctx._exp[q - 2]
+        for g, a in ((last, 1), (last, last), (1, 1), (1, last)):
+            assert _enumerated_image(ctx, g, a) == _line_by_line(ctx, g, a), (q, g, a)
+        # the zero bucket hits the whole field, and at alpha = 0 a unit bucket the units
+        assert all(_enumerated_image(ctx, 0, a) == mask_full(q) for a in ctx.elements)
+        assert all(_enumerated_image(ctx, g, 0) == mask_full(q) ^ 1 for g in ctx.units)
 
 
 @pytest.mark.parametrize("q", [49, 64, 81, 121, 243])
@@ -225,33 +231,64 @@ def test_relabel_evaluation_identity():
                     assert line_eval(ctx, moved, a) == want
 
 
+def _law_holds(ctx, gamma, alpha, delta, beta):
+    """B_gamma(alpha) = (sqrt(gamma)sqrt(alpha)/sqrt(delta)sqrt(beta)) * B_delta(beta),
+    both images enumerated line by line from `bucket`, roots read as rscode reads them."""
+    ss = rscode.build_sqrt_system(ctx)
+    num = ctx.mul(ss.sqrt(gamma), ss.sqrt(alpha))
+    den = ctx.mul(ss.sqrt(delta), ss.sqrt(beta))
+    rhs = scale_mask(ctx, ctx.div(num, den), _line_by_line(ctx, delta, beta))
+    return _line_by_line(ctx, gamma, alpha) == rhs
+
+
+def _first_law_failure(ctx, delta, beta):
+    """The sweep's answer pair by pair: the first failing (gamma, alpha), gamma outermost."""
+    om = omega_set(ctx).elements
+    return next(((g, a) for g in om for a in om if not _law_holds(ctx, g, a, delta, beta)), None)
+
+
 def test_scalar_evolution_identity_case():
     ctx = field(7)
-    assert scalar_evolution(ctx, 2, 4, 2, 4)
+    assert scalar_evolution(ctx, 2, 4) is None
 
 
 def test_scalar_evolution_exhaustive():
+    # every reference pair (delta, beta) in Omega^2
     for q in (7, 8, 9):
         ctx = field(q)
         om = omega_set(ctx).elements
-        for g in om:
-            for a in om:
-                for d in om:
-                    for be in om:
-                        assert scalar_evolution(ctx, g, a, d, be)
+        for d in om:
+            for be in om:
+                assert scalar_evolution(ctx, d, be) is None, (q, d, be)
 
 
 def test_scalar_evolution_checks_the_law_not_bucket_eval(monkeypatch):
     def boom(*_args):
         raise AssertionError("scalar_evolution read the image it checks")
 
-    monkeypatch.setattr(rscode, "bucket_eval", boom)
-    for q in (7, 8, 9):
+    for name in ("bucket", "bucket_eval", "_scaled_image"):
+        monkeypatch.setattr(rscode, name, boom)
+    for q in (7, 8, 9, 16, 25):
         ctx = field(q)
-        om = omega_set(ctx).elements
-        for g in om:
-            for a in om:
-                assert scalar_evolution(ctx, g, a, 1, 1)
+        assert scalar_evolution(ctx) is None
+        assert scalar_evolution(ctx, *omega_set(ctx).elements[-2:]) is None
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 13, 16, 25, 27])
+def test_scalar_evolution_matches_a_per_pair_reference(monkeypatch, q):
+    ctx = field(q)
+    om = omega_set(ctx).elements
+    references = [(1, 1), (om[-1], om[len(om) // 2])]
+    for d, be in references:
+        assert scalar_evolution(ctx, d, be) is None
+        assert _first_law_failure(ctx, d, be) is None
+    factor = ctx._exp[1]  # a primitive element, never +-1 here
+    for gamma in om:
+        with monkeypatch.context() as patch:
+            _tamper_root(patch, ctx, gamma, factor)
+            for d, be in references:
+                got = scalar_evolution(ctx, d, be)
+                assert got is not None and got == _first_law_failure(ctx, d, be), (gamma, d, be)
 
 
 def _tamper_root(monkeypatch, ctx, gamma, factor):
@@ -268,11 +305,12 @@ def _tamper_root(monkeypatch, ctx, gamma, factor):
 def test_scalar_evolution_detects_a_wrong_root(monkeypatch):
     ctx = field(7)
     _tamper_root(monkeypatch, ctx, 2, 2)
-    om = omega_set(ctx).elements
-    assert not scalar_evolution(ctx, 2, 1, 1, 1)
-    assert not scalar_evolution(ctx, 1, 1, 2, 1)
+    witness = scalar_evolution(ctx)
+    assert witness is not None and 2 in witness
+    assert scalar_evolution(ctx, 2, 1) is not None
     # pairs that never read the tampered root still agree
-    assert all(scalar_evolution(ctx, g, a, 1, 1) for g in om for a in om if 2 not in (g, a))
+    om = omega_set(ctx).elements
+    assert all(_law_holds(ctx, g, a, 1, 1) for g in om for a in om if 2 not in (g, a))
 
 
 def test_scalar_evolution_row_fails_on_a_wrong_root(capsys, monkeypatch):
@@ -286,13 +324,15 @@ def test_scalar_evolution_row_fails_on_a_wrong_root(capsys, monkeypatch):
     witness = row["counterexample"]
     assert set(witness) == {"gamma", "alpha"}
     assert 2 in (witness["gamma"], witness["alpha"])
-    assert not scalar_evolution(ctx, witness["gamma"], witness["alpha"], 1, 1)
+    assert scalar_evolution(ctx) == (witness["gamma"], witness["alpha"])
 
 
 def test_scalar_evolution_rejects_outside():
     ctx = field(7)
     with pytest.raises(RegimeMismatch):
-        scalar_evolution(ctx, 3, 1, 1, 1)
+        scalar_evolution(ctx, 3, 1)
+    with pytest.raises(RegimeMismatch):
+        scalar_evolution(ctx, 1, 3)
 
 
 def test_one_scaling_identity_small_fields():
