@@ -271,8 +271,12 @@ def scheme_from_obj(obj, where: str = "scheme") -> LeakageScheme:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()  # one decode of the whole file, so exc.start is its offset
+    except UnicodeDecodeError as exc:
+        byte, at = exc.object[exc.start], exc.start
+        raise SchemaError(f"{path}: not UTF-8 text (byte 0x{byte:02x} at offset {at})") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -285,7 +289,8 @@ def read_scheme(path: str) -> LeakageScheme:
 
 def _read_v_file(path: str, q: int | None) -> tuple:
     """(field, v_seq) from a JSON object holding a 'v_seq' list of element
-    lists; the field is the file's 'field' descriptor if it has one, else GF(q)."""
+    lists; the field is the file's 'field' descriptor if it has one, else
+    GF(q).  A q given beside a descriptor must select the same field."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "v_seq" not in obj:
         raise SchemaError(f"{path}: missing field 'v_seq'")
@@ -302,6 +307,8 @@ def _read_v_file(path: str, q: int | None) -> tuple:
         ):
             raise SchemaError(f"{path}.v_seq[{idx}]: expected field elements")
         v_seq.append(frozenset(entry))
+    if q is not None and ctx != field(q):
+        raise SchemaError(f"{path}: field descriptor differs from the selected field")
     return ctx, tuple(v_seq)
 
 
@@ -592,9 +599,7 @@ def cmd_game(args) -> RunReport:
         raise PreconditionViolated("--v-file needs --strategy replay")
     v_seq = ()
     if args.v_file:
-        file_ctx, v_seq = _read_v_file(args.v_file, ctx.q)
-        if file_ctx != ctx:
-            raise SchemaError(f"{args.v_file}: field descriptor differs from the selected field")
+        v_seq = _read_v_file(args.v_file, ctx.q)[1]
         if not v_seq:
             raise SchemaError(f"{args.v_file}: v_seq is empty, so the replay would play no round")
     config = GameConfig(
@@ -1073,71 +1078,60 @@ def cmd_suite(args) -> RunReport:
 # ---------------------------------------------------------------- dispatch
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qmlab",
-        description="verification lab for low-bandwidth coefficient-product recovery",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+def _field_flag(sp) -> None:
+    sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
 
-    def leaf(owner, name, func, help_):
-        # no prefix matching: a dropped flag such as --p must not read as --poly
-        sp = owner.add_parser(name, help=help_, allow_abbrev=False)
-        sp.add_argument("--json", action="store_true", help="emit the canonical JSON report")
-        sp.set_defaults(func=func)
-        return sp
 
-    def seed_flag(sp):
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
+def _seed_flag(sp) -> None:
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
 
-    def field_flag(sp):
-        sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
 
-    field_flag(leaf(sub, "field", cmd_field, "print a field descriptor"))
-    field_flag(leaf(sub, "residues", cmd_residues, "restricted set, roots, pair, unions"))
-    sp = leaf(sub, "charsum", cmd_charsum, "complete quadratic character sum")
-    field_flag(sp)
+def _scheme_flag(sp) -> None:
+    sp.add_argument("--scheme", required=True, help="scheme JSON file")
+
+
+def _no_flags(sp) -> None:
+    pass
+
+
+def _charsum_flags(sp) -> None:
+    _field_flag(sp)
     sp.add_argument("--poly", type=_csv_ints, required=True,
                     help="coefficients, constant first (e.g. 0,1,0,1)")
-    field_flag(leaf(sub, "buckets", cmd_buckets, "evaluation-image table"))
 
-    qm = sub.add_parser("qm", help="bit-leakage schemes")
-    qmsub = qm.add_subparsers(dest="action", required=True, metavar="action")
-    sp = leaf(qmsub, "verify", cmd_qm_verify, "check a scheme file")
-    sp.add_argument("--scheme", required=True, help="scheme JSON file")
+
+def _qm_verify_flags(sp) -> None:
+    _scheme_flag(sp)
     sp.add_argument("--domain", choices=("all", "nonzero", "omega"), default="nonzero")
-    sp = leaf(qmsub, "search", cmd_qm_search, "minimum-bandwidth search")
-    field_flag(sp)
+
+
+def _qm_search_flags(sp) -> None:
+    _field_flag(sp)
     sp.add_argument("--mode", choices=tuple(_MODES), default="mqm")
     sp.add_argument("--tmax", type=int, default=None, help="largest bit budget to try")
     sp.add_argument("--budget", type=int, default=10**6, help="search node budget")
     sp.add_argument("--servers", type=_csv_ints, default=None,
                     help="server points (default: whole field)")
-    sp = leaf(qmsub, "convert", cmd_qm_convert, "translate a scheme to eliminators")
-    sp.add_argument("--scheme", required=True, help="scheme JSON file")
 
-    pqm = sub.add_parser("pqm", help="pruning decoder")
-    pqmsub = pqm.add_subparsers(dest="action", required=True, metavar="action")
-    sp = leaf(pqmsub, "run", cmd_pqm_run, "replay a transcript against eliminators")
+
+def _pqm_run_flags(sp) -> None:
     sp.add_argument("--v-file", required=True, help="JSON file with a v_seq")
     sp.add_argument("--transcript", type=_csv_ints, required=True, help="bits (e.g. 0,1,0)")
-    sp.add_argument("--q", type=int, help="field size when the file has no descriptor")
+    sp.add_argument("--q", type=int,
+                    help="field size when the file has no descriptor; must match it if it has one")
 
-    sp = leaf(sub, "game", cmd_game, "adversarial pruning game")
-    field_flag(sp)
-    seed_flag(sp)
+
+def _game_flags(sp) -> None:
+    _field_flag(sp)
+    _seed_flag(sp)
     sp.add_argument("--strategy", choices=STRATEGIES, default="greedy-halving")
     sp.add_argument("--max-rounds", type=int, default=None)
     sp.add_argument("--v-file", default=None, help="v_seq JSON for the replay strategy")
 
-    sp = leaf(sub, "bound", cmd_bound, "closed-form round floors")
-    field_flag(sp)
 
-    ll = sub.add_parser("linleak", help="linear one-symbol probes")
-    llsub = ll.add_subparsers(dest="action", required=True, metavar="action")
-    sp = leaf(llsub, "check", cmd_linleak_check, "transcript collisions below full download")
-    field_flag(sp)
-    seed_flag(sp)
+def _linleak_check_flags(sp) -> None:
+    _field_flag(sp)
+    _seed_flag(sp)
     sp.add_argument("--k", type=int, default=2, help="message dimension")
     sp.add_argument("--i", type=int, default=0, help="first target coefficient")
     sp.add_argument("--j", type=int, default=1, help="second target coefficient")
@@ -1145,24 +1139,89 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exhaustive", action="store_true", help="all query tuples")
     group.add_argument("--samples", type=int, default=1000, help="random tuples to draw")
 
-    gf7 = sub.add_parser("gf7", help="the fixed five-bit scheme over GF(7)")
-    gf7sub = gf7.add_subparsers(dest="action", required=True, metavar="action")
-    leaf(gf7sub, "verify", cmd_gf7_verify, "verify the 36-line reconstruction")
-    leaf(gf7sub, "table", cmd_gf7_table, "print the 7x7 image grid")
-    sp = leaf(gf7sub, "leak", cmd_gf7_leak, "products ruled out by one bit")
+
+def _gf7_leak_flags(sp) -> None:
     sp.add_argument("--alpha", type=int, required=True, help="evaluation point")
     sp.add_argument("--set", type=_csv_ints, required=True, help="leakage set (e.g. 0,1,6)")
 
-    sp = leaf(sub, "suite", cmd_suite, "full verification battery")
-    seed_flag(sp)
+
+def _suite_flags(sp) -> None:
+    _seed_flag(sp)
     sp.add_argument("--qmax", type=int, default=64, help="largest field size to cover")
     sp.add_argument("--timings", metavar="FILE", default=None,
                     help="write '<seconds> <check name>' per check to FILE, in report order")
+
+
+class _Command(NamedTuple):
+    help: str
+    flags: Callable  # adds the command's own flags to its parser
+
+
+_GROUPS = {
+    "qm": "bit-leakage schemes",
+    "pqm": "pruning decoder",
+    "linleak": "linear one-symbol probes",
+    "gf7": "the fixed five-bit scheme over GF(7)",
+}
+
+# every command path in help order; a two-word path sits under its _GROUPS
+# entry, and the handler of path (a, b) is cmd_a_b
+_COMMANDS = {
+    ("field",): _Command("print a field descriptor", _field_flag),
+    ("residues",): _Command("restricted set, roots, pair, unions", _field_flag),
+    ("charsum",): _Command("complete quadratic character sum", _charsum_flags),
+    ("buckets",): _Command("evaluation-image table", _field_flag),
+    ("qm", "verify"): _Command("check a scheme file", _qm_verify_flags),
+    ("qm", "search"): _Command("minimum-bandwidth search", _qm_search_flags),
+    ("qm", "convert"): _Command("translate a scheme to eliminators", _scheme_flag),
+    ("pqm", "run"): _Command("replay a transcript against eliminators", _pqm_run_flags),
+    ("game",): _Command("adversarial pruning game", _game_flags),
+    ("bound",): _Command("closed-form round floors", _field_flag),
+    ("linleak", "check"): _Command(
+        "transcript collisions below full download", _linleak_check_flags
+    ),
+    ("gf7", "verify"): _Command("verify the 36-line reconstruction", _no_flags),
+    ("gf7", "table"): _Command("print the 7x7 image grid", _no_flags),
+    ("gf7", "leak"): _Command("products ruled out by one bit", _gf7_leak_flags),
+    ("suite",): _Command("full verification battery", _suite_flags),
+}
+
+
+def _build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv.  When argv's leading words name a command, only
+    the parsers on its path are built (the top level, its group, the leaf);
+    otherwise, or for argv None, the whole tree, so help, usage and errors
+    list every command."""
+    words = tuple(argv or ())
+    named = {words[:n] for n in (1, 2) if words[:n] in _COMMANDS}  # one path or none
+    parser = argparse.ArgumentParser(
+        prog="qmlab",
+        description="verification lab for low-bandwidth coefficient-product recovery",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    groups = {}
+    for path in named or _COMMANDS:
+        owner = sub
+        if len(path) == 2:
+            owner = groups.get(path[0])
+            if owner is None:
+                group = sub.add_parser(path[0], help=_GROUPS[path[0]])
+                owner = groups[path[0]] = group.add_subparsers(
+                    dest="action", required=True, metavar="action"
+                )
+        cmd = _COMMANDS[path]
+        # no prefix matching: a dropped flag such as --p must not read as --poly
+        sp = owner.add_parser(path[-1], help=cmd.help, allow_abbrev=False)
+        sp.add_argument("--json", action="store_true", help="emit the canonical JSON report")
+        cmd.flags(sp)
+        # looked up when the parser is built, so a wrapper set on the module runs
+        sp.set_defaults(func=globals()["cmd_" + "_".join(path)])
     return parser
 
 
 def cmd_dispatch(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     started = time.perf_counter()
     try:
         report = args.func(args)

@@ -270,10 +270,14 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
 
 def _color_graph(q: int, adj, colors: int):
     """First proper coloring (smallest color per vertex in encoding order)
-    of the graph given by adjacency bitmasks, or None when colors are few."""
+    of the graph given by adjacency bitmasks, or None when colors are few.
+
+    Vertex v tries only colors up to one above the largest its predecessors
+    use: swapping an unused color into a coloring gives an earlier one, so
+    the first coloring has this form and the skipped ones change nothing."""
     assign = [0] * q
 
-    def place(v: int) -> bool:
+    def place(v: int, used: int) -> bool:
         if v == q:
             return True
         banned = 0
@@ -282,14 +286,14 @@ def _color_graph(q: int, adj, colors: int):
             low = m & -m
             banned |= 1 << assign[low.bit_length() - 1]
             m ^= low
-        for c in range(colors):
+        for c in range(min(colors, used + 1)):
             if not (banned >> c) & 1:
                 assign[v] = c
-                if place(v + 1):
+                if place(v + 1, max(used, c + 1)):
                     return True
         return False
 
-    return tuple(assign) if place(0) else None
+    return tuple(assign) if place(0, 0) else None
 
 
 def _join_sides(lab: list, u: int, v: int) -> list:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -149,6 +150,91 @@ def test_exit_code_usage_error(capsys):
     assert err.value.code == 2
     assert cmd_dispatch(["field", "--q", "6"]) == 2
     assert "not a prime power" in capsys.readouterr().err
+
+
+def _parse(capsys, parser, argv):
+    """(exit code, namespace, stdout, stderr) of parsing argv; the code is
+    None and the namespace a dict when the parse succeeds."""
+    try:
+        code, ns = None, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, ns = exc.code, None
+    captured = capsys.readouterr()
+    return code, ns, captured.out, captured.err
+
+
+@pytest.mark.parametrize("path", list(cli._COMMANDS), ids=" ".join)
+def test_a_named_command_parses_as_in_the_full_tree(capsys, path):
+    # help, a missing required flag, an unknown flag and a bare parse read the
+    # same from the command's own path as from the tree of every command
+    for argv in ([*path, "--help"], [*path], [*path, "--bogus"], [*path, "--json", "--q", "7"]):
+        selective = _parse(capsys, cli._build_parser(argv), argv)
+        assert selective == _parse(capsys, cli._build_parser(), argv), argv
+    assert _parse(capsys, cli._build_parser(), [*path, "--help"])[0] == 0
+    code, _, out, err = _parse(capsys, cli._build_parser(), [*path])
+    if code is not None:  # the command has a required flag, and misses it
+        assert (code, out) == (2, "") and "the following arguments are required: --" in err
+
+
+_TOP = [path[0] for path in cli._COMMANDS]
+_QM = [path[1] for path in cli._COMMANDS if path[0] == "qm"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, listed",
+    [
+        ([], 2, ["required: command"]),
+        (["--help"], 0, _TOP),
+        (["-h", "game"], 0, _TOP),
+        (["bogus"], 2, ["invalid choice: 'bogus'", *_TOP]),
+        (["qm"], 2, ["required: action"]),
+        (["qm", "--help"], 0, _QM),
+        (["qm", "bogus"], 2, ["invalid choice: 'bogus'", *_QM]),
+    ],
+)
+def test_argv_naming_no_command_gets_the_full_tree(capsys, argv, code, listed):
+    with pytest.raises(SystemExit) as exc:
+        cmd_dispatch(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, None, captured.out, captured.err) == _parse(
+        capsys, cli._build_parser(), argv
+    )
+    assert exc.value.code == code
+    assert all(word in captured.out + captured.err for word in listed)
+
+
+def test_dispatch_builds_only_the_named_commands_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli._build_parser()
+    assert len(built) == 1 + len(cli._GROUPS) + len(cli._COMMANDS) == 20
+    built.clear()
+    assert cmd_dispatch(["game", "--q", "7", "--json"]) == 0
+    assert built == ["qmlab", "qmlab game"]
+    built.clear()
+    assert cmd_dispatch(["qm", "search", "--q", "7", "--servers", "1,2,4", "--json"]) == 0
+    assert built == ["qmlab", "qmlab qm", "qmlab qm search"]
+    capsys.readouterr()
+
+
+def test_dispatch_runs_the_handler_the_module_holds(capsys, monkeypatch):
+    # a wrapper set on the module after import (as a profiler or tracer sets
+    # one) is the handler that runs
+    original, seen = cli.cmd_game, []
+
+    def wrapper(args):
+        seen.append(args.q)
+        return original(args)
+
+    monkeypatch.setattr(cli, "cmd_game", wrapper)
+    assert run_cli(capsys, ["game", "--q", "7", "--json"])[0] == 0
+    assert seen == [7]
 
 
 def test_field_rejects_oversized_before_factoring():
@@ -444,6 +530,36 @@ def test_pqm_run_rejects_json_booleans(capsys, tmp_path):
     assert cmd_dispatch(["pqm", "run", "--v-file", str(path), "--transcript", "1", "--q", "7"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "v_seq[1]" in err and err.count("\n") == 1
+
+
+def test_pqm_run_rejects_a_q_that_contradicts_the_descriptor(capsys, tmp_path):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps({"field": field(7).descriptor(), "v_seq": [[1, 2]]}))
+    argv = ["pqm", "run", "--v-file", str(path), "--transcript", "0", "--json"]
+    assert cmd_dispatch([*argv, "--q", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: field descriptor differs from the selected field\n"
+    # a matching --q, or none, replays over the file's field
+    assert run_cli(capsys, [*argv, "--q", "7"]) == run_cli(capsys, argv)
+    # a file without a descriptor takes its field from --q
+    path.write_text(json.dumps({"v_seq": [[1, 2]]}))
+    code, out = run_cli(capsys, [*argv, "--q", "9"])
+    assert code == 1 and json.loads(out)["q"] == 9
+
+
+@pytest.mark.parametrize(
+    "argv", [["qm", "verify", "--scheme"], ["pqm", "run", "--transcript", "0", "--v-file"]]
+)
+def test_an_undecodable_input_file_is_named(capsys, tmp_path, argv):
+    path = tmp_path / "bin.json"
+    # the second file's bad byte lies beyond the first 8 KiB a reader buffers
+    for data, byte, at in ((b"\xff\xfe", "0xff", 0), (b"{" + b" " * 9000 + b"\xc3(", "0xc3", 9001)):
+        path.write_bytes(data)
+        assert cmd_dispatch([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not UTF-8 text (byte {byte} at offset {at})\n"
 
 
 def test_fields_without_a_square_root_system_are_refused_first(capsys, tmp_path):

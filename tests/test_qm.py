@@ -305,6 +305,41 @@ def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
         assert search_min_bandwidth(field(q), mode, set(servers), t_max=t - 1) is None
 
 
+def _first_coloring_every_color(q: int, adj, colors: int):
+    """The reference: the first proper coloring in encoding order, trying
+    every color at every vertex."""
+    assign = [0] * q
+
+    def place(v: int) -> bool:
+        if v == q:
+            return True
+        banned = {assign[u] for u in range(v) if (adj[v] >> u) & 1}
+        for c in range(colors):
+            if c not in banned:
+                assign[v] = c
+                if place(v + 1):
+                    return True
+        return False
+
+    return tuple(assign) if place(0) else None
+
+
+def test_color_graph_matches_the_enumeration_of_every_color():
+    # canonical colors skip only colorings that relabel an earlier one
+    rng = random.Random(20)
+    for _ in range(1500):
+        q = rng.randint(1, 10)
+        colors = rng.choice((1, 2, 3, 4, 5, 8))
+        density = rng.random()
+        adj = [0] * q
+        for u in range(q):
+            for v in range(u):
+                if rng.random() < density:
+                    adj[u] |= 1 << v
+                    adj[v] |= 1 << u
+        assert _color_graph(q, adj, colors) == _first_coloring_every_color(q, adj, colors)
+
+
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
 def test_side_labels_answer_two_coloring(q):
     # random edge sequences: the label verdict must match a 2-coloring of the
