@@ -296,7 +296,7 @@ def _read_v_file(path: str, q: int | None) -> tuple:
         raise SchemaError(f"{path}: missing field 'v_seq'")
     if "field" in obj:
         ctx = _field_from_obj(obj["field"], f"{path}.field")
-    elif q:
+    elif q is not None:
         ctx = field(q)
     else:
         raise SchemaError(f"{path}: no field descriptor; pass --q")

@@ -203,7 +203,7 @@ def test_argv_naming_no_command_gets_the_full_tree(capsys, argv, code, listed):
     assert all(word in captured.out + captured.err for word in listed)
 
 
-def test_dispatch_builds_only_the_named_commands_parsers(capsys, monkeypatch):
+def test_dispatch_builds_only_the_named_commands_parsers(monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -220,7 +220,6 @@ def test_dispatch_builds_only_the_named_commands_parsers(capsys, monkeypatch):
     built.clear()
     assert cmd_dispatch(["qm", "search", "--q", "7", "--servers", "1,2,4", "--json"]) == 0
     assert built == ["qmlab", "qmlab qm", "qmlab qm search"]
-    capsys.readouterr()
 
 
 def test_dispatch_runs_the_handler_the_module_holds(capsys, monkeypatch):
@@ -546,6 +545,8 @@ def test_pqm_run_rejects_a_q_that_contradicts_the_descriptor(capsys, tmp_path):
     path.write_text(json.dumps({"v_seq": [[1, 2]]}))
     code, out = run_cli(capsys, [*argv, "--q", "9"])
     assert code == 1 and json.loads(out)["q"] == 9
+    assert cmd_dispatch([*argv, "--q", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: q=0 is not a prime power\n")
 
 
 @pytest.mark.parametrize(
