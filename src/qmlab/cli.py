@@ -47,7 +47,6 @@ from .galois import (
 from .linleak import TraceQuery, linear_impossibility_check
 from .pqm import (
     STRATEGIES,
-    GameConfig,
     bandwidth_bound,
     mqm_to_pqm,
     play_game,
@@ -61,6 +60,7 @@ from .qm import (
     SUCCESS,
     InvalidScheme,
     LeakageScheme,
+    _domain_messages,
     _mode_domain,
     _separation_problem,
     collision_witness,
@@ -83,7 +83,6 @@ from .residues import (
 from .rscode import bucket, bucket_eval, scalar_evolution
 from .shamir7 import download_cost, figure1_table, gf7_scheme, one_bit_leak, verify_gf7
 
-_MODES = {"qm": QM, "mqm": MQM, "appendix": APPENDIX}
 _DOMAIN_MODES = {"all": QM, "nonzero": APPENDIX, "omega": MQM}  # qm verify --domain
 _EXHAUSTIVE_LIMIT = 10**6
 
@@ -449,12 +448,11 @@ def cmd_residues(args) -> RunReport:
         witness = _residue_witness(ctx, b11(ctx) - {0})
         fail = _check("scaled-pair-exists", False, note=str(exc), counterexample=witness)
         return RunReport("residues", payload, [fail])
-    ss = build_sqrt_system(ctx)
     expected, sizes, bad = _union_sizes(ctx, pair)
     payload.update(
         {
             "pair": [pair.a, pair.b],
-            "sqrt": {str(g): r for g, r in sorted(ss.root.items())},
+            "sqrt": {str(g): r for g, r in build_sqrt_system(ctx).items()},
             "union_sizes": {str(g): n for g, n in sorted(sizes.items())},
             "expected_union": expected,
         }
@@ -521,7 +519,7 @@ def cmd_qm_search(args) -> RunReport:
         raise PreconditionViolated("--servers lists no point")
     _no_empty("--servers", args.servers)
     servers = frozenset(ctx.elements if args.servers is None else args.servers)
-    if args.servers is not None and _MODES[args.mode] == MQM:
+    if args.servers is not None and args.mode == MQM:
         om = omega_set(ctx)
         outside = sorted(a for a in servers if 0 <= a < ctx.q and a not in om)
         if outside:
@@ -532,7 +530,7 @@ def cmd_qm_search(args) -> RunReport:
                 f" GF({ctx.q}), the only points mqm mode queries"
             )
     got = search_min_bandwidth(
-        ctx, _MODES[args.mode], servers, t_max=args.tmax, budget=args.budget
+        ctx, args.mode, servers, t_max=args.tmax, budget=args.budget
     )
     payload = {
         "field": ctx.descriptor(),
@@ -542,7 +540,7 @@ def cmd_qm_search(args) -> RunReport:
         "found": got is not None,
     }
     if got is None:
-        blocked = _separation_problem(ctx, _MODES[args.mode], servers)[2]
+        blocked = _separation_problem(ctx, args.mode, servers)[2]
         note = "no scheme within --tmax"
         extra = {}
         if blocked:
@@ -602,14 +600,9 @@ def cmd_game(args) -> RunReport:
         v_seq = _read_v_file(args.v_file, ctx.q)[1]
         if not v_seq:
             raise SchemaError(f"{args.v_file}: v_seq is empty, so the replay would play no round")
-    config = GameConfig(
-        ctx,
-        args.strategy,
-        seed=args.seed,
-        max_rounds=args.max_rounds,
-        v_seq=v_seq,
+    record = play_game(
+        ctx, args.strategy, seed=args.seed, max_rounds=args.max_rounds, v_seq=v_seq
     )
-    record = play_game(config)
     floor = bandwidth_bound(ctx).integer_round_bound
     payload = {"field": ctx.descriptor(), "integer_round_bound": floor, **record}
     checks = [
@@ -628,9 +621,9 @@ def cmd_bound(args) -> RunReport:
     rep = bandwidth_bound(ctx)
     payload = {
         "field": ctx.descriptor(),
-        "q": rep.q,
-        "p": rep.p,
-        "e": rep.e,
+        "q": ctx.q,
+        "p": ctx.p,
+        "e": ctx.e,
         "real_bound": rep.real_bound,
         "integer_round_bound": rep.integer_round_bound,
     }
@@ -814,11 +807,10 @@ def _sc_b11_gf8() -> tuple:
 
 def _sc_binary_sqrt_gf8() -> tuple:
     ctx = field(8)
-    ss = build_sqrt_system(ctx)
-    w = omega_set(ctx).omega
-    z = find_primitive_zero_inv_trace(ctx)
-    primitive = len({ctx.pow(z, n) for n in range(1, ctx.q)}) == ctx.q - 1
-    ok = ss.sqrt(ctx.mul(w, w)) == w and primitive and ctx.trace(ctx.inv(z)) == 0
+    w = find_primitive_zero_inv_trace(ctx)
+    primitive = len({ctx.pow(w, n) for n in range(1, ctx.q)}) == ctx.q - 1
+    root_of_w2 = build_sqrt_system(ctx).get(ctx.mul(w, w))
+    ok = root_of_w2 == w and primitive and ctx.trace(ctx.inv(w)) == 0
     return ok, {"omega": w}
 
 
@@ -919,19 +911,13 @@ def _sc_bound_forms(qmax: int) -> tuple:
 
 def _replay_battery(scheme: LeakageScheme) -> tuple:
     """(all replays succeed, number of messages, largest terminal class)."""
-    ctx = scheme.ctx
-    om = omega_set(ctx)
-    ok = True
-    count = worst = 0
-    for c0 in ctx.units:
-        for c1 in ctx.units:
-            if ctx.mul(c0, c1) not in om:
-                continue
-            outcome, state = replay_transcript(scheme, (c0, c1))
-            ok = ok and outcome == SUCCESS
-            worst = max(worst, max(m.bit_count() for m in state.classes.values()))
-            count += 1
-    return ok, count, worst
+    messages = _domain_messages(scheme.ctx, omega_set(scheme.ctx).elements)
+    ok, worst = True, 0
+    for message, _ in messages:
+        outcome, state = replay_transcript(scheme, message)
+        ok = ok and outcome == SUCCESS
+        worst = max(worst, max(m.bit_count() for m in state.classes.values()))
+    return ok, len(messages), worst
 
 
 def _sc_pipeline_gf7() -> tuple:
@@ -966,12 +952,11 @@ def _sc_game_floor(q: int, seed: int) -> tuple:
     floor = bandwidth_bound(ctx).integer_round_bound
     rounds = {}
     for strategy in ("greedy-halving", "random-set"):
-        rounds[strategy] = play_game(GameConfig(ctx, strategy, seed=seed))["rounds"]
+        rounds[strategy] = play_game(ctx, strategy, seed=seed)["rounds"]
     if q == 7:
         _, scheme = _searched_gf7()
-        rounds["replay"] = play_game(
-            GameConfig(ctx, "replay", seed=seed, v_seq=mqm_to_pqm(scheme))
-        )["rounds"]
+        record = play_game(ctx, "replay", seed=seed, v_seq=mqm_to_pqm(scheme))
+        rounds["replay"] = record["rounds"]
     return all(r >= floor for r in rounds.values()), {"floor": floor, "rounds": rounds}
 
 
@@ -1107,7 +1092,7 @@ def _qm_verify_flags(sp) -> None:
 
 def _qm_search_flags(sp) -> None:
     _field_flag(sp)
-    sp.add_argument("--mode", choices=tuple(_MODES), default="mqm")
+    sp.add_argument("--mode", choices=(QM, MQM, APPENDIX), default=MQM)
     sp.add_argument("--tmax", type=int, default=None, help="largest bit budget to try")
     sp.add_argument("--budget", type=int, default=10**6, help="search node budget")
     sp.add_argument("--servers", type=_csv_ints, default=None,

@@ -66,9 +66,8 @@ def _keep(alive: int, v_mask: int, bit: int) -> int:
 
 def _class_images(ctx: FieldCtx) -> dict:
     """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order."""
-    ss = build_sqrt_system(ctx)
     ref = mask_of(b11(ctx))
-    return {g: scale_mask(ctx, ss.sqrt(g), ref) for g in omega_set(ctx).elements}
+    return {g: scale_mask(ctx, r, ref) for g, r in build_sqrt_system(ctx).items()}
 
 
 def _total(images: dict, alive: int) -> int:
@@ -82,7 +81,7 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
     most one class survives.  Class gamma's final x-mask is
     (1/sqrt(gamma))*(I_gamma & alive).
     """
-    ss = build_sqrt_system(ctx)
+    root = build_sqrt_system(ctx)
     v_seq = tuple(v_seq)
     bits = tuple(bits)
     if len(bits) != len(v_seq):
@@ -94,7 +93,7 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
         alive = _keep(alive, _eliminator(ctx, v_set), bit)
         history.append(_total(images, alive))
     classes = {
-        g: scale_mask(ctx, ctx.inv(ss.sqrt(g)), image & alive)
+        g: scale_mask(ctx, ctx.inv(root[g]), image & alive)
         for g, image in images.items()
     }
     state = PqmState(classes, len(v_seq), tuple(history))
@@ -105,12 +104,10 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
 def mqm_to_pqm(scheme: LeakageScheme) -> tuple:
     """Translate a restricted-regime scheme into one eliminator per query.
 
-    Validation is structural only (dimension 2, targets {0, 1}, schedule
-    inside the restricted set); a scheme with tampered sets still
-    translates, it just loses the success guarantee.
+    Validation is structural only (schedule inside the restricted set); a
+    scheme with tampered sets still translates, it just loses the success
+    guarantee.
     """
-    if scheme.k != 2 or {scheme.i, scheme.j} != {0, 1}:
-        raise InvalidScheme("translation needs dimension 2 with targets {0, 1}")
     ctx = scheme.ctx
     om = omega_set(ctx)
     if not all(a in om for a in scheme.schedule):
@@ -156,9 +153,6 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
 
 
 class BoundReport(NamedTuple):
-    q: int
-    p: int
-    e: int
     real_bound: float
     integer_round_bound: int
 
@@ -176,31 +170,13 @@ def bandwidth_bound(ctx: FieldCtx) -> BoundReport:
         real = 2 * math.log2(q - 2) - 4 if q > 2 else -math.inf
         total = (q - 2) * q // 4
         integer = (max(total, 1) - 1).bit_length() - 2
-    return BoundReport(q, ctx.p, ctx.e, real, integer)
+    return BoundReport(real, integer)
 
 
-def _ceil_log2(n: int) -> int:
-    return (n - 1).bit_length()
-
-
-class GameConfig(NamedTuple):
-    ctx: FieldCtx
-    alice_strategy: str
-    seed: int = 0
-    max_rounds: int | None = None
-    v_seq: tuple = ()  # consumed by the replay strategy
-
-    def rounds_cap(self) -> int:
-        if self.max_rounds is not None:
-            return self.max_rounds
-        return 4 * self.ctx.e * _ceil_log2(self.ctx.p)
-
-
-def _alice(config: GameConfig, images: dict):
+def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
     """Per-game eliminator generator for the named strategy; it is called
     with the surviving y-mask and the round index."""
-    ctx = config.ctx
-    if config.alice_strategy == "greedy-halving":
+    if strategy == "greedy-halving":
         # weight of u = surviving points the bit-0 branch would drop: the
         # cluster size #{gamma : u in I_gamma} while u is alive, 0 after;
         # balance the two branch weights by largest-first assignment
@@ -222,15 +198,15 @@ def _alice(config: GameConfig, images: dict):
             return frozenset(v)
 
         return emit
-    if config.alice_strategy == "random-set":
-        rng = random.Random(config.seed)
+    if strategy == "random-set":
+        rng = random.Random(seed)
 
         def emit(_alive: int, _round: int):
             return frozenset(u for u in range(ctx.q) if rng.getrandbits(1))
 
         return emit
-    if config.alice_strategy == "replay":
-        v_seq = tuple(config.v_seq)
+    if strategy == "replay":
+        v_seq = tuple(v_seq)
 
         def emit(_alive: int, round_index: int):
             if round_index >= len(v_seq):
@@ -238,27 +214,30 @@ def _alice(config: GameConfig, images: dict):
             return v_seq[round_index]
 
         return emit
-    raise UnknownStrategy(f"no strategy named {config.alice_strategy!r}")
+    raise UnknownStrategy(f"no strategy named {strategy!r}")
 
 
-def play_game(config: GameConfig) -> dict:
+def play_game(
+    ctx: FieldCtx, strategy: str, seed: int = 0, max_rounds: int | None = None, v_seq=()
+) -> dict:
     """Alice emits eliminators, the adversary always answers with the bit
     keeping the most survivors (ties: bit 0, logged).  The game advances one
     surviving y-mask: a round's branches are alive & ~V and alive & (V | {0}),
     and a branch holds sum over gamma of |I_gamma & branch| survivors.
-    Returns the full game record; rounds is math.inf when the cap or an
-    exhausted replay sequence stops the game first."""
-    ctx = config.ctx
+    The cap is max_rounds, by default 4 * e * ceil(log2 p); v_seq feeds the
+    replay strategy.  Returns the full game record; rounds is math.inf when
+    the cap or an exhausted replay sequence stops the game first."""
     images = _class_images(ctx)
-    emit = _alice(config, images)
+    emit = _alice(ctx, strategy, seed, v_seq, images)
     alive = mask_full(ctx.q)
     history = [_total(images, alive)]
     ties = []
     played = 0
-    cap = config.rounds_cap()
+    if max_rounds is None:
+        max_rounds = 4 * ctx.e * (ctx.p - 1).bit_length()  # 4 * e * ceil(log2 p)
     while True:
         left = [g for g, image in images.items() if image & alive]
-        if len(left) <= 1 or played >= cap:
+        if len(left) <= 1 or played >= max_rounds:
             break
         v_set = emit(alive, played)
         if v_set is None:
@@ -274,8 +253,8 @@ def play_game(config: GameConfig) -> dict:
         played += 1
     return {
         "q": ctx.q,
-        "strategy": config.alice_strategy,
-        "seed": config.seed,
+        "strategy": strategy,
+        "seed": seed,
         "rounds": played if len(left) <= 1 else math.inf,
         "rounds_played": played,
         "survivors": history,

@@ -31,9 +31,9 @@ from .galois import FieldCtx
 from .residues import build_sqrt_system, omega_set
 from .rscode import bucket, line_eval
 
-QM = "QM"
-MQM = "mQM"
-APPENDIX = "Appendix"
+QM = "qm"
+MQM = "mqm"
+APPENDIX = "appendix"
 
 SUCCESS = "success"
 INVALID_TRANSCRIPT = "invalid_transcript"
@@ -42,8 +42,9 @@ FAIL = "fail"
 
 class LeakageScheme:
     """Servers, a query schedule and one leakage set per scheduled query, for
-    recovering X_i * X_j from dimension-k messages.  Validated when built;
-    equal and hashed by value."""
+    recovering X_0 * X_1 from dimension-2 messages (k = 2, {i, j} = {0, 1},
+    the only shape the decoders read).  Validated when built; equal and
+    hashed by value."""
 
     def __init__(self, ctx: FieldCtx, k: int, i: int, j: int, servers, schedule, sets):
         self.ctx = ctx
@@ -54,10 +55,8 @@ class LeakageScheme:
         self.schedule = tuple(schedule)
         self.sets = tuple(sets)  # q-bit masks, one per schedule entry
         q = ctx.q
-        if k < 2:
-            raise InvalidScheme("need dimension k >= 2")
-        if not (0 <= i < k and 0 <= j < k and i != j):
-            raise InvalidScheme("target indices must be distinct and < k")
+        if k != 2 or {i, j} != {0, 1}:
+            raise InvalidScheme("need dimension k = 2 with targets {0, 1}")
         if len(self.schedule) != len(self.sets):
             raise InvalidScheme("schedule and sets must have equal length")
         if not all(0 <= a < q for a in self.servers):
@@ -110,8 +109,6 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
     1 keeps the rest.  Exactly one surviving bucket is a success, none is an
     invalid transcript, more than one is a failure.
     """
-    if scheme.k != 2:
-        raise PreconditionViolated("transcript replay works on dimension-2 schemes")
     bits = tuple(bits)
     if len(bits) != scheme.t:
         raise PreconditionViolated("transcript length must match the schedule")
@@ -156,8 +153,6 @@ class Collision(NamedTuple):
 def collision_witness(scheme: LeakageScheme, product_domain) -> Collision | None:
     """The first pair of in-domain messages with different products and the
     same transcript, in _domain_messages order, or None when there is none."""
-    if scheme.k != 2:
-        raise PreconditionViolated("verification works on dimension-2 schemes")
     seen: dict[tuple, tuple] = {}
     for coeffs, g in _domain_messages(scheme.ctx, product_domain):
         bits = transcript(scheme, coeffs)
@@ -180,8 +175,6 @@ def verify_scheme(scheme: LeakageScheme, product_domain) -> bool:
 def mqm_check(scheme: LeakageScheme) -> bool:
     """Validity in the restricted regime: all queried points and the product
     domain live in the restricted set."""
-    if scheme.k != 2 or {scheme.i, scheme.j} != {0, 1}:
-        raise PreconditionViolated("restricted regime is defined for k=2, targets {0,1}")
     om = omega_set(scheme.ctx)
     if not all(a in om for a in scheme.schedule):
         return False
@@ -198,13 +191,11 @@ def convert_eliminator(ctx: FieldCtx, t_mask: int, alpha: int) -> frozenset:
     h(alpha) in T always has its reference value m + 1/m inside
     (1/sqrt(gamma)) * V.
     """
-    ss = build_sqrt_system(ctx)
-    om = omega_set(ctx)
-    if alpha not in om:
+    root = build_sqrt_system(ctx)
+    if alpha not in root:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
     out = set()
-    for g in om.elements:
-        r = ss.sqrt(g)
+    for r in root.values():
         for m in ctx.units:
             value_at_alpha = ctx.mul(r, ctx.add(ctx.div(alpha, m), m))
             if (t_mask >> value_at_alpha) & 1:

@@ -24,7 +24,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import NoPairExists, RegimeMismatch, UnsupportedField
+from .errors import NoPairExists, UnsupportedField
 from .galois import FieldCtx, find_primitive_zero_inv_trace
 
 P3MOD4_E_ODD = "P3MOD4_E_ODD"
@@ -33,14 +33,10 @@ BINARY = "BINARY"
 
 
 class OmegaSet:
-    """The sorted members of Omega_q; omega is the primitive element w of a
-    binary field's set of even powers and None for the squares."""
+    """The sorted members of Omega_q, with a membership test."""
 
-    def __init__(self, ctx: FieldCtx, kind: str, elements: tuple, omega: int | None = None):
-        self.ctx = ctx
-        self.kind = kind  # "QR" | "W"
+    def __init__(self, elements: tuple):
         self.elements = elements
-        self.omega = omega
         self.member_set = frozenset(elements)
 
     def __contains__(self, x: int) -> bool:
@@ -59,7 +55,7 @@ def omega_set(ctx: FieldCtx) -> OmegaSet:
     if ctx.p > 2:
         elems = tuple(sorted(_qr_set(ctx)))
         assert len(elems) == (ctx.q - 1) // 2
-        return OmegaSet(ctx, "QR", elems)
+        return OmegaSet(elems)
     w = find_primitive_zero_inv_trace(ctx)
     elems = set()
     x = 1
@@ -68,7 +64,7 @@ def omega_set(ctx: FieldCtx) -> OmegaSet:
         elems.add(x)
         x = ctx.mul(x, w2)
     assert len(elems) == 2 ** (ctx.e - 1) - 1
-    return OmegaSet(ctx, "W", tuple(sorted(elems)), omega=w)
+    return OmegaSet(tuple(sorted(elems)))
 
 
 def quadratic_character(ctx: FieldCtx, x: int) -> int:
@@ -101,21 +97,6 @@ def regime_of(ctx: FieldCtx) -> str:
     return P1MOD4_OR_E_EVEN
 
 
-class SqrtSystem(NamedTuple):
-    ctx: FieldCtx
-    omega_set: OmegaSet
-    root: dict  # gamma -> canonical sqrt(gamma), for gamma in Omega_q
-    regime: str
-
-    def sqrt(self, gamma: int) -> int:
-        try:
-            return self.root[gamma]
-        except KeyError:
-            raise RegimeMismatch(
-                f"{gamma} is outside the restricted set of GF({self.ctx.q})"
-            ) from None
-
-
 def _square_roots(ctx: FieldCtx) -> dict:
     """Every square's roots in ascending order, from one pass over the field."""
     roots: dict[int, list[int]] = {}
@@ -125,20 +106,22 @@ def _square_roots(ctx: FieldCtx) -> dict:
 
 
 @lru_cache(maxsize=None)
-def build_sqrt_system(ctx: FieldCtx) -> SqrtSystem:
+def build_sqrt_system(ctx: FieldCtx) -> dict:
+    """gamma -> canonical sqrt(gamma) for every gamma in Omega_q, in Omega
+    order; shared by every caller, so read it and never mutate it."""
     if ctx.q in (2, 4, 5):
         raise UnsupportedField(f"no square-root system over GF({ctx.q})")
-    om = omega_set(ctx)
-    regime = regime_of(ctx)
     qr = _qr_set(ctx)
     roots = _square_roots(ctx)
     upsilon = frozenset()
-    if regime == P1MOD4_OR_E_EVEN:  # only here can both roots be non-squares
+    if regime_of(ctx) == P1MOD4_OR_E_EVEN:  # only here can both roots be non-squares
         b0 = min(x for x in ctx.units if x not in qr)
         upsilon = frozenset(ctx.div(roots[h][0], b0) for h in quartic_residues(ctx))
     # the smallest root that is a square, else the smallest outside Upsilon
-    root = {g: min(roots[g], key=lambda x: (x not in qr, x in upsilon)) for g in om.elements}
-    return SqrtSystem(ctx, om, root, regime)
+    return {
+        g: min(roots[g], key=lambda x: (x not in qr, x in upsilon))
+        for g in omega_set(ctx).elements
+    }
 
 
 class ScaledPair(NamedTuple):
@@ -185,13 +168,14 @@ def scaled_pair(ctx: FieldCtx) -> ScaledPair:
     """
     if ctx.q == 5:
         raise NoPairExists("B_1(1)* over GF(5) = {2,3} admits no usable pair")
-    ss = build_sqrt_system(ctx)
+    build_sqrt_system(ctx)  # GF(2) and GF(4) have none and are refused here
     b11_star = b11(ctx) - {0}
-    if ss.regime == BINARY:
-        w = ss.omega_set.omega
+    regime = regime_of(ctx)
+    if regime == BINARY:
+        w = find_primitive_zero_inv_trace(ctx)
         a = ctx.pow(w, 2 ** (ctx.e - 1))
         b = w
-    elif ss.regime == P3MOD4_E_ODD:
+    elif regime == P3MOD4_E_ODD:
         qr = _qr_set(ctx)
         a = min(y for y in b11_star if y in qr)
         b = min(y for y in b11_star if y not in qr)
@@ -211,10 +195,8 @@ def scaled_pair_union_sizes(ctx: FieldCtx, pair: ScaledPair) -> dict:
     One pass counts how many roots hit each product; leaving delta out
     loses exactly those of its two products that no other root hits.
     """
-    ss = build_sqrt_system(ctx)
     products = {
-        g: (ctx.mul(ss.root[g], pair.a), ctx.mul(ss.root[g], pair.b))
-        for g in ss.omega_set.elements
+        g: (ctx.mul(r, pair.a), ctx.mul(r, pair.b)) for g, r in build_sqrt_system(ctx).items()
     }
     hits = Counter(x for both in products.values() for x in both)
     return {g: len(hits) - (hits[x] == 1) - (hits[y] == 1) for g, (x, y) in products.items()}

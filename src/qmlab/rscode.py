@@ -31,7 +31,7 @@ b = gamma * g^-i, so over the two-period exp table its columns m*alpha and b
 are the slices exp[log alpha + i] and exp[log gamma + (q - 1) - i], added in
 one `galois.add_elems` pass.  It reads neither the law nor the images built
 from it.  `scalar_evolution` checks a whole field in one sweep: the
-reference image once, its rescaling once per root ratio, every pair once.
+reference image once, its rescaling once per root product, every pair once.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, add_elems, mask_elems, mask_full, mask_of, scale_elems, scale_mask
-from .residues import b11, build_sqrt_system, omega_set  # noqa: F401 (b11 re-export)
+from .residues import b11, build_sqrt_system  # noqa: F401 (b11 re-export)
 
 _BUCKET_LIMIT = 2**10
 
@@ -129,32 +129,29 @@ def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
 
 def relabel(ctx: FieldCtx, line: Line, alpha: int) -> Line:
     """Move the line's parameter from m to m*sqrt(alpha) within its bucket."""
-    ss = build_sqrt_system(ctx)
-    om = omega_set(ctx)
-    if line.product not in om:
+    root = build_sqrt_system(ctx)
+    if line.product not in root:
         raise RegimeMismatch(f"line product {line.product} outside the restricted set")
-    if alpha not in om:
+    if alpha not in root:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
     if line.m == 0:
         raise PreconditionViolated("relabel needs a nonzero slope")
-    r = ss.sqrt(alpha)
+    r = root[alpha]
     out = make_line(ctx, ctx.div(line.m, r), ctx.mul(line.b, r))
     assert out.product == line.product
     return out
 
 
-def scalar_evolution(ctx: FieldCtx, delta: int = 1, beta: int = 1) -> tuple | None:
+def scalar_evolution(ctx: FieldCtx) -> tuple | None:
     """The first (gamma, alpha) in Omega^2, gamma outermost, where
-    B_gamma(alpha) != (sqrt(gamma)sqrt(alpha)/sqrt(delta)sqrt(beta)) * B_delta(beta),
-    or None.  Raises RegimeMismatch for delta or beta outside Omega."""
-    ss = build_sqrt_system(ctx)
-    root, om = ss.root, ss.omega_set.elements
-    den = ctx.mul(ss.sqrt(delta), ss.sqrt(beta))
-    ref = mask_elems(_enumerated_image(ctx, delta, beta))
-    rhs = {}  # scale -> the set scale * B_delta(beta); at most q - 1 scales
-    for g in om:
-        for a in om:
-            scale = ctx.div(ctx.mul(root[g], root[a]), den)
+    B_gamma(alpha) != sqrt(gamma)sqrt(alpha) * B_1(1), or None.  The law from
+    any other reference (delta, beta) follows by substituting this one."""
+    root = build_sqrt_system(ctx)
+    ref = mask_elems(_enumerated_image(ctx, 1, 1))
+    rhs = {}  # scale -> the set scale * B_1(1); at most q - 1 scales
+    for g, rg in root.items():
+        for a, ra in root.items():
+            scale = ctx.mul(rg, ra)
             if scale not in rhs:
                 rhs[scale] = set(scale_elems(ctx, scale, ref))
             if set(_unit_values(ctx, g, a)) != rhs[scale]:

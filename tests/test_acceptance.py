@@ -19,7 +19,7 @@ from qmlab.charsum import artin_schreier_solvable, b11_trace_kernel_check, compl
 from qmlab.galois import field, mask_from_hex, mask_of
 from qmlab.linleak import TraceQuery, linear_impossibility_check
 from qmlab.cli import _run_row, _suite_rows
-from qmlab.pqm import GameConfig, bandwidth_bound, mqm_to_pqm, play_game
+from qmlab.pqm import bandwidth_bound, mqm_to_pqm, play_game
 from qmlab.qm import LeakageScheme
 from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_sizes
 from qmlab.rscode import _enumerated_image, b11, bucket_eval, scalar_evolution
@@ -218,7 +218,7 @@ def test_criterion_09_round_floors_and_closed_forms():
     }
     for q, v_seq in seqs.items():
         ctx = field(q)
-        record = play_game(GameConfig(ctx, "replay", seed=0, v_seq=v_seq))
+        record = play_game(ctx, "replay", seed=0, v_seq=v_seq)
         ok = ok and record["rounds"] >= bandwidth_bound(ctx).integer_round_bound
     for q in (7, 9, 11, 13):
         want = 2 * math.log2(q - 1) - 3

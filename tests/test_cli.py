@@ -464,6 +464,20 @@ def test_scheme_schema_errors(tmp_path):
         read_scheme(str(bad))
 
 
+def test_scheme_file_of_another_shape_exits_2_naming_it(capsys, tmp_path):
+    good = scheme_to_obj(gf7_scheme())
+    path = tmp_path / "s.json"
+    for k, i, j in ((3, 0, 1), (2, 0, 2)):
+        path.write_text(json.dumps({**good, "k": k, "i": i, "j": j}))
+        assert cmd_dispatch(["qm", "verify", "--scheme", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: need dimension k = 2 with targets {{0, 1}}\n"
+    # the targets in the other order are accepted and echoed back as given
+    path.write_text(json.dumps({**good, "i": 1, "j": 0}))
+    code, report = run_json(capsys, ["qm", "verify", "--scheme", str(path)])
+    assert code == 0 and (report["scheme"]["i"], report["scheme"]["j"]) == (1, 0)
+
+
 def test_schema_error_exits_2(capsys, tmp_path):
     path = tmp_path / "scheme.json"
     path.write_text("{not json")
@@ -891,12 +905,15 @@ def test_text_report_shows_wall_time(capsys):
     "command",
     [
         "suite --qmax 64 --seed 0 --json",
+        "suite --qmax 64 --seed 1 --json",
         "buckets --q 49 --json",
         "buckets --q 64 --json",
         "buckets --q 81 --json",
-        "game --q 121 --strategy greedy-halving --seed 0 --json",
-        "game --q 128 --strategy greedy-halving --seed 0 --json",
-        "game --q 243 --strategy random-set --seed 0 --json",
+        *(
+            f"game --q {q} --strategy {strategy} --seed 0 --json"
+            for q in (121, 125, 128, 243)
+            for strategy in ("greedy-halving", "random-set")
+        ),
     ],
 )
 def test_reports_match_the_benchmark_digests(capsys, command):

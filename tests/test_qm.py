@@ -35,6 +35,15 @@ from qmlab.residues import build_sqrt_system, omega_set
 from qmlab.rscode import line_eval, make_line, relabel
 
 
+# test ids name the search modes as the paper does
+_PAPER_MODE_NAMES = {QM: "QM", MQM: "mQM", APPENDIX: "Appendix"}
+
+
+def _mode_id(value):
+    """The paper's name for a mode parameter; None leaves pytest's own id."""
+    return _PAPER_MODE_NAMES.get(value) if isinstance(value, str) else None
+
+
 def gf7_appendix_scheme() -> LeakageScheme:
     ctx = field(7)
     sets = [{0, 2, 5}, {0, 1, 6}, {0, 3, 4}, {0, 2, 5}, {0, 1, 6}]
@@ -68,10 +77,11 @@ def all_messages(ctx, domain):
 
 def test_scheme_validation():
     ctx = field(7)
-    with pytest.raises(InvalidScheme):
-        LeakageScheme(ctx, 1, 0, 1, frozenset({0}), (0,), (1,))
-    with pytest.raises(InvalidScheme):
-        LeakageScheme(ctx, 2, 0, 0, frozenset({0}), (0,), (1,))
+    for k, i, j in ((1, 0, 1), (2, 0, 0), (2, 1, 2), (3, 0, 1), (3, 0, 2)):
+        with pytest.raises(InvalidScheme, match=r"need dimension k = 2 with targets \{0, 1\}"):
+            LeakageScheme(ctx, k, i, j, frozenset({0}), (0,), (1,))
+    swapped = LeakageScheme(ctx, 2, 1, 0, frozenset({0}), (0,), (1,))
+    assert (swapped.i, swapped.j) == (1, 0)  # the targets as a set, in either order
     with pytest.raises(InvalidScheme):
         LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (1,), (1,))  # 1 not a server
     with pytest.raises(InvalidScheme):
@@ -178,8 +188,8 @@ def test_mqm_check():
     ctx3 = field(3)
     empty = LeakageScheme(ctx3, 2, 0, 1, frozenset({1}), (), ())
     assert mqm_check(empty)  # one product class needs no bits
-    with pytest.raises(PreconditionViolated):
-        mqm_check(LeakageScheme(field(7), 3, 0, 2, frozenset({1}), (), ()))
+    with pytest.raises(InvalidScheme):  # no scheme of another shape reaches the check
+        LeakageScheme(field(7), 3, 0, 2, frozenset({1}), (), ())
 
 
 def test_convert_eliminator_edges():
@@ -196,18 +206,18 @@ def test_convert_eliminator_matches_relabel_route():
     # relabelled qualifying lines, and contain sqrt(gamma)(m + 1/m) for each
     for q in (7, 8, 9):
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
+        root = build_sqrt_system(ctx)
         om = omega_set(ctx)
         rng = random.Random(q)
         masks = [1 << x for x in ctx.elements]
         masks += [rng.getrandbits(ctx.q) for _ in range(64)]
         for a in om.elements:
-            inv_ra = ctx.inv(ss.sqrt(a))
+            inv_ra = ctx.inv(root[a])
             for t_mask in masks:
                 got = convert_eliminator(ctx, t_mask, a)
                 vals = set()
                 for g in om.elements:
-                    rg = ss.sqrt(g)
+                    rg = root[g]
                     for m in ctx.units:
                         h = make_line(ctx, ctx.mul(rg, ctx.inv(m)), ctx.mul(rg, m))
                         if (t_mask >> line_eval(ctx, h, a)) & 1:
@@ -266,6 +276,125 @@ def test_search_appendix_gf7_beats_five_bits():
     assert verify_scheme(scheme, field(7).units)
 
 
+def _partitions(n, cells):
+    """Every partition of range(n) into at most `cells` cells, as a restricted
+    growth string: entry v is v's cell, and cell c + 1 first appears after c."""
+    if n == 0:
+        yield ()
+        return
+    for head in _partitions(n - 1, cells):
+        for c in range(min(cells, max(head, default=-1) + 2)):
+            yield head + (c,)
+
+
+def _backtrack_colouring(q, edges, colours):
+    """A proper colouring of vertices 0..q-1 with at most `colours` colours, by
+    plain backtracking, or None; a loop (u, u) has none."""
+    nbrs = [set() for _ in range(q)]
+    for u, v in edges:
+        if u == v:
+            return None
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    colour = [None] * q
+
+    def place(v):
+        if v == q:
+            return True
+        for c in range(colours):
+            if all(colour[w] != c for w in nbrs[v]):
+                colour[v] = c
+                if place(v + 1):
+                    return True
+        colour[v] = None
+        return False
+
+    return tuple(colour) if place(0) else None
+
+
+def _brute_force_scheme(ctx, domain, points, t):
+    """A t-bit scheme as {point: (bits, cell of each value)}, or None when
+    none exists: a brute force that shares no code with the search.
+
+    Each split of t over the points is tried.  Every point but the one with
+    the most bits takes each partition into at most 2^b cells; the message
+    pairs with different products that no such point separates must then
+    split at that last point, so its forced-split graph must be
+    2^b-colourable."""
+    dom = set(domain)
+    messages = [
+        (c0, c1) for c0 in ctx.elements for c1 in ctx.elements if ctx.mul(c0, c1) in dom
+    ]
+    values = {
+        a: [ctx.add(c0, ctx.mul(c1, a)) for c0, c1 in messages] for a in points
+    }
+    pairs = [
+        (x, y)
+        for x in range(len(messages))
+        for y in range(x)
+        if ctx.mul(*messages[x]) != ctx.mul(*messages[y])
+    ]
+    cap = (ctx.q - 1).bit_length()
+
+    def splits(total, n):
+        if n == 1:
+            if total <= cap:
+                yield (total,)
+            return
+        for first in range(min(total, cap) + 1):
+            for rest in splits(total - first, n - 1):
+                yield (first,) + rest
+
+    def search(rest, last, bits, open_pairs, chosen):
+        if not rest:
+            val = values[last]
+            edges = {(val[x], val[y]) for x, y in open_pairs}
+            colouring = _backtrack_colouring(ctx.q, edges, 2 ** bits[last])
+            return None if colouring is None else {**chosen, last: (bits[last], colouring)}
+        a, more = rest[0], rest[1:]
+        val = values[a]
+        for cell in _partitions(ctx.q, 2 ** bits[a]):
+            left = [(x, y) for x, y in open_pairs if cell[val[x]] == cell[val[y]]]
+            found = search(more, last, bits, left, {**chosen, a: (bits[a], cell)})
+            if found:
+                return found
+        return None
+
+    for split in splits(t, len(points)):
+        bits = dict(zip(points, split))
+        last = max(points, key=lambda a: bits[a])
+        rest = [a for a in points if a != last and bits[a]]
+        found = search(rest, last, bits, pairs, {})
+        if found:
+            return found
+    return None
+
+
+@pytest.mark.parametrize(
+    "q, mode, domain, points, minimum",
+    [
+        (5, QM, "all", (0, 1, 2, 3, 4), 4),
+        (7, MQM, "omega", (1, 2, 4), 3),
+        (8, MQM, "omega", (1, 4, 7), 4),
+    ],
+    ids=_mode_id,
+)
+def test_search_minima_match_a_brute_force(q, mode, domain, points, minimum):
+    ctx = field(q)
+    dom = ctx.elements if domain == "all" else omega_set(ctx).elements
+    assert _brute_force_scheme(ctx, dom, points, minimum - 1) is None
+    found = _brute_force_scheme(ctx, dom, points, minimum)
+    assert found and sum(bits for bits, _ in found.values()) == minimum
+    schedule, sets = [], []
+    for a, (bits, cell) in sorted(found.items()):
+        for w in range(bits):
+            schedule.append(a)
+            sets.append(mask_of(v for v in ctx.elements if (cell[v] >> w) & 1))
+    scheme = LeakageScheme(ctx, 2, 0, 1, frozenset(points), schedule, sets)
+    assert scheme.t == minimum and verify_scheme(scheme, dom)
+    assert search_min_bandwidth(ctx, mode, set(points))[0] == minimum
+
+
 @pytest.mark.parametrize(
     "q, mode, servers, nodes",
     [
@@ -277,6 +406,7 @@ def test_search_appendix_gf7_beats_five_bits():
         (5, APPENDIX, range(5), 245),
         (4, QM, range(4), 970),
     ],
+    ids=_mode_id,
 )
 def test_search_node_budget_boundaries(q, mode, servers, nodes):
     # the exact node count pins the search tree: any change to which nodes
@@ -290,6 +420,7 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
     "q, mode, servers, budget, t",
     [(7, APPENDIX, range(5), 3_635, 4), (7, APPENDIX, range(5), 100, 2),
      (8, MQM, (1, 4, 7), 997, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1)],
+    ids=_mode_id,
 )
 def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
     # the search tries t in ascending order, so a budget hit at t refutes

@@ -7,8 +7,8 @@ import json
 import pytest
 
 from qmlab import cli, residues
-from qmlab.errors import NoPairExists, QmLabError, RegimeMismatch, UnsupportedField
-from qmlab.galois import field, prime_power
+from qmlab.errors import NoPairExists, QmLabError, UnsupportedField
+from qmlab.galois import field, find_primitive_zero_inv_trace, prime_power
 from qmlab.residues import (
     BINARY,
     P1MOD4_OR_E_EVEN,
@@ -37,11 +37,10 @@ def test_omega_set_frozen_values():
     assert omega_set(field(7)).elements == (1, 2, 4)
     assert omega_set(field(13)).elements == (1, 3, 4, 9, 10, 12)
     # GF(8): even powers of the canonical primitive w = x with trace(1/w) = 0
-    om8 = omega_set(field(8))
-    assert om8.kind == "W" and om8.omega == 2
-    assert om8.elements == (1, 4, 7)
+    assert find_primitive_zero_inv_trace(field(8)) == 2
+    assert omega_set(field(8)).elements == (1, 4, 7)
     om16 = omega_set(field(16))
-    assert om16.omega == 2 and len(om16.elements) == 7
+    assert find_primitive_zero_inv_trace(field(16)) == 2 and len(om16.elements) == 7
     assert 1 in om16
 
 
@@ -113,9 +112,9 @@ def test_regime_of():
 
 
 def test_sqrt_system_frozen_tables():
-    assert build_sqrt_system(field(7)).root == {1: 1, 2: 4, 4: 2}
-    assert build_sqrt_system(field(8)).root == {1: 1, 4: 2, 7: 4}
-    assert build_sqrt_system(field(9)).root == {1: 1, 2: 3, 3: 7, 6: 4}
+    assert build_sqrt_system(field(7)) == {1: 1, 2: 4, 4: 2}
+    assert build_sqrt_system(field(8)) == {1: 1, 4: 2, 7: 4}
+    assert build_sqrt_system(field(9)) == {1: 1, 2: 3, 3: 7, 6: 4}
 
 
 def test_sqrt_system_unsupported():
@@ -127,36 +126,28 @@ def test_sqrt_system_unsupported():
 def test_sqrt_system_roots_square_back():
     for q in SUPPORTED_Q:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
-        om = omega_set(ctx)
-        assert set(ss.root) == om.member_set
-        for g, r in ss.root.items():
+        root = build_sqrt_system(ctx)
+        assert tuple(root) == omega_set(ctx).elements  # the keys are Omega, in order
+        for g, r in root.items():
             assert ctx.mul(r, r) == g
 
 
 def test_sqrt_system_regime_shapes():
     for q in SUPPORTED_Q:
         ctx = field(q)
-        ss = build_sqrt_system(ctx)
+        root = build_sqrt_system(ctx)
         om = omega_set(ctx)
-        if ss.regime == P3MOD4_E_ODD:
+        if regime_of(ctx) == P3MOD4_E_ODD:
             # roots of the squares are exactly the squares again
-            assert set(ss.root.values()) == om.member_set
-        elif ss.regime == P1MOD4_OR_E_EVEN:
+            assert set(root.values()) == om.member_set
+        elif regime_of(ctx) == P1MOD4_OR_E_EVEN:
             qr = om.member_set
             r4 = quartic_residues(ctx)
             for g in om.elements:
                 if g in r4:
-                    assert ss.root[g] in qr
+                    assert root[g] in qr
                 else:
-                    assert ss.root[g] not in qr
-
-
-def test_sqrt_lookup_outside_restricted_set():
-    ss = build_sqrt_system(field(7))
-    assert ss.sqrt(2) == 4
-    with pytest.raises(RegimeMismatch):
-        ss.sqrt(3)
+                    assert root[g] not in qr
 
 
 def _squares(ctx) -> frozenset:
@@ -189,7 +180,7 @@ def _three_branch_roots(ctx) -> dict:
     om = omega_set(ctx)
     root = {}
     if regime_of(ctx) == BINARY:
-        w = om.omega
+        w = find_primitive_zero_inv_trace(ctx)
         x = r = 1
         for _ in om.elements:
             root[x] = r
@@ -220,7 +211,7 @@ def test_one_rule_matches_the_three_branch_construction():
         if prime_power(q) is None or q in (2, 4, 5):
             continue
         ctx = field(q)
-        assert build_sqrt_system(ctx).root == _three_branch_roots(ctx), q
+        assert build_sqrt_system(ctx) == _three_branch_roots(ctx), q
         checked += 1
     assert checked == 195
 
@@ -234,7 +225,7 @@ def test_roots_of_other_squares_avoid_upsilon(q, b0, upsilon):
     ctx = field(q)
     qr = _squares(ctx)
     assert min(x for x in ctx.units if x not in qr) == b0
-    roots = build_sqrt_system(ctx).root
+    roots = build_sqrt_system(ctx)
     r4 = quartic_residues(ctx)
     assert _reference_upsilon(ctx, 1, b0, {g: roots[g] for g in r4}) == upsilon
     others = [g for g in roots if g not in r4]
@@ -329,10 +320,10 @@ def test_union_sizes_match_the_union_per_delta():
             pair = scaled_pair(ctx)
         except QmLabError:  # GF(2), GF(4): no restricted set; GF(5): no pair
             continue
-        ss = build_sqrt_system(ctx)
-        om = ss.omega_set.elements
+        root = build_sqrt_system(ctx)
+        om = omega_set(ctx).elements
         want = {
-            delta: len({ctx.mul(ss.root[g], x) for g in om if g != delta for x in pair})
+            delta: len({ctx.mul(root[g], x) for g in om if g != delta for x in pair})
             for delta in om
         }
         assert scaled_pair_union_sizes(ctx, pair) == want, q  # keys: all of Omega
