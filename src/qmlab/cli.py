@@ -264,9 +264,9 @@ def scheme_from_obj(obj, where: str = "scheme") -> LeakageScheme:
         except ValueError as exc:
             raise SchemaError(f"{where}.sets[{idx}]: {exc}") from None
     try:
-        return LeakageScheme(ctx, k, i, j, frozenset(servers), tuple(schedule), tuple(sets))
+        return LeakageScheme(ctx, k, i, j, servers, tuple(schedule), tuple(sets))
     except InvalidScheme as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise SchemaError(f"{where}.{exc}" if exc.entry else f"{where}: {exc}") from None
 
 
 def _load_json(path: str):
@@ -519,9 +519,14 @@ def cmd_qm_search(args) -> RunReport:
         raise PreconditionViolated("--servers lists no point")
     _no_empty("--servers", args.servers)
     servers = frozenset(ctx.elements if args.servers is None else args.servers)
+    outside = sorted(a for a in servers if not 0 <= a < ctx.q)
+    if outside:
+        listed = ", ".join(map(str, outside))
+        what = "an element" if len(outside) == 1 else "elements"
+        raise PreconditionViolated(f"--servers {listed}: not {what} of GF({ctx.q})")
     if args.servers is not None and args.mode == MQM:
         om = omega_set(ctx)
-        outside = sorted(a for a in servers if 0 <= a < ctx.q and a not in om)
+        outside = sorted(a for a in servers if a not in om)
         if outside:
             listed = ", ".join(map(str, outside))
             members = ", ".join(map(str, om.elements))

@@ -38,7 +38,15 @@ class BudgetExceeded(QmLabError):
 
 
 class InvalidScheme(QmLabError):
-    """A leakage scheme is structurally unusable for the requested operation."""
+    """A leakage scheme is structurally unusable for the requested operation.
+
+    `entry` names the offending entry, such as "servers[3]", when one entry
+    is at fault; the message then starts with it.
+    """
+
+    def __init__(self, message: str, entry: str | None = None):
+        super().__init__(f"{entry}: {message}" if entry else message)
+        self.entry = entry
 
 
 class PreconditionViolated(QmLabError):

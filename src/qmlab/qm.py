@@ -51,7 +51,8 @@ class LeakageScheme:
         self.k = k
         self.i = i
         self.j = j
-        self.servers = frozenset(servers)
+        given = tuple(servers)  # servers[i] in an error indexes them as given
+        self.servers = frozenset(given)
         self.schedule = tuple(schedule)
         self.sets = tuple(sets)  # q-bit masks, one per schedule entry
         q = ctx.q
@@ -59,10 +60,12 @@ class LeakageScheme:
             raise InvalidScheme("need dimension k = 2 with targets {0, 1}")
         if len(self.schedule) != len(self.sets):
             raise InvalidScheme("schedule and sets must have equal length")
-        if not all(0 <= a < q for a in self.servers):
-            raise InvalidScheme("servers must be field elements")
-        if not all(a in self.servers for a in self.schedule):
-            raise InvalidScheme("every scheduled point must be a server")
+        for idx, a in enumerate(given):
+            if not 0 <= a < q:
+                raise InvalidScheme(f"{a} is not an element of GF({q})", f"servers[{idx}]")
+        for idx, a in enumerate(self.schedule):
+            if a not in self.servers:
+                raise InvalidScheme(f"{a} is not a server", f"schedule[{idx}]")
         if not all(0 <= m < (1 << q) for m in self.sets):
             raise InvalidScheme("each leakage set must be a q-bit mask")
 
@@ -302,6 +305,59 @@ def _join_sides(lab: list, u: int, v: int) -> list:
     return [2 * cu + ((x ^ flip) & 1) if x >> 1 == cv else x for x in lab]
 
 
+def _recolor_end(coloring: tuple, adj, u: int, v: int, colors: int) -> Optional[tuple]:
+    """A coloring of the graph plus edge uv made from one of the graph that
+    gives u and v the same color, by moving u or v to a color none of its
+    neighbors uses; None when both ends see every other color."""
+    for w in (u, v):
+        used = 1 << coloring[w]
+        m = adj[w]
+        while m:
+            low = m & -m
+            used |= 1 << coloring[low.bit_length() - 1]
+            m ^= low
+        free = ~used & ((1 << colors) - 1)
+        if free:
+            moved = list(coloring)
+            moved[w] = (free & -free).bit_length() - 1
+            return tuple(moved)
+    return None
+
+
+def _pick_constraint(open_: int, viable) -> int | None:
+    """The constraint a search node branches on, or None when none is open.
+
+    open_ has a bit per constraint not split yet, and viable[ai] a bit per
+    constraint with a colorable option at point ai; a constraint holds at
+    most one option per point, so its count of viable options is the number
+    of masks with its bit set.  The first open constraint, in index order,
+    with at most one option decides (none refutes the node); otherwise the
+    lowest-index constraint with the fewest options wins.  The counts are
+    summed bit-sliced: planes[k] holds bit k of every constraint's count."""
+    if not open_:
+        return None
+    planes: list[int] = []
+    for m in viable:
+        carry = m & open_
+        for k, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[k] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    several = 0
+    for plane in planes[1:]:
+        several |= plane
+    pool = open_ & ~several  # at most one option
+    if not pool:
+        pool = open_
+        for plane in reversed(planes):
+            if pool & ~plane:
+                pool &= ~plane  # the fewest options have this count bit clear
+    return (pool & -pool).bit_length() - 1
+
+
 def search_min_bandwidth(
     ctx: FieldCtx,
     mode: str,
@@ -317,19 +373,24 @@ def search_min_bandwidth(
     its edges iff they are 2**b-colorable.  Returns (t, scheme) or None when
     no scheme exists within t_max, or at all because a pair agrees at every
     server (_separation_problem's blocked pair); raises BudgetExceeded after
-    `budget` search nodes.  Beside the committed edges it keeps, and restores on
-    backtrack, each point's max degree, probe verdicts and side labels
-    (2 * component + side, see _join_sides) and each constraint's count of
-    committed options, so a node neither rescans degrees nor re-tests
-    splits.  A graph is 2-colorable iff it has no odd cycle, so a 1-bit
-    point answers its probes from the labels instead of a coloring.
+    `budget` search nodes.  A budget hit while trying t bits raises
+    BudgetExceeded carrying t: every smaller t was refuted, so no scheme has
+    fewer than t bits.
 
-    Each node branches on the first open constraint with the fewest viable
-    options.  The scan stops counting a constraint's options once the count
-    reaches the fewest so far, since it can then no longer win, and builds
-    the option list only for the winner; the tree is the one a full count
-    gives.  A budget hit while trying t bits raises BudgetExceeded carrying
-    t: every smaller t was refuted, so no scheme has fewer than t bits.
+    Constraints are the bits of int masks: a node gets its open (not yet
+    split) constraints as one mask, each point keeps the mask of constraints
+    whose option there is still colorable, and _pick_constraint reads the
+    constraint to branch on from these.  Adding an edge never makes a graph
+    easier to color, so a commit re-tests only the options still viable at
+    the point that got the edge.  A graph is 2-colorable iff it has no odd
+    cycle, so a 1-bit point tests from side labels (2 * component + side,
+    see _join_sides), and only edges between the two components a commit
+    joins can fail there.  With 4 or more colors a probe passes on the
+    max-degree bound, or on a certificate: a coloring of the committed graph,
+    found by an earlier probe, that colors the two ends apart or does so
+    once one end moves to a color its neighbors leave free (_recolor_end).
+    Only then is the graph colored.  Degrees, labels, viable masks and
+    certificates are restored on backtrack.
     """
     if ctx.q > _SEARCH_Q_LIMIT:
         raise PreconditionViolated(f"exhaustive search capped at q <= {_SEARCH_Q_LIMIT}")
@@ -373,91 +434,93 @@ def search_min_bandwidth(
     nodes = 0
     adj = [[0] * q for _ in alphas]
     top = [0] * len(alphas)  # max degree of the committed graph at each point
-    verdicts: list[dict] = [{} for _ in alphas]  # option -> colorable, per point
     lab: list[list] = []  # side labels per point, read at 1-bit points
-    split = [0] * len(constraints)  # committed options per constraint
-    holders: dict[tuple, list[int]] = {}
+    certs: list[list] = []  # colorings of the committed graph per point, 4+ colors
+    viable = [0] * len(alphas)  # constraints with a colorable option, per point
+    holders: list[dict] = [{} for _ in alphas]  # (u, v) -> its constraints, per point
     for ci, sig in enumerate(constraints):
-        for opt in sig:
-            holders.setdefault(opt, []).append(ci)
-    color_cache: dict[tuple, bool] = {}  # verdicts for 4 or more colors only
+        for ai, u, v in sig:
+            holders[ai][u, v] = holders[ai].get((u, v), 0) | 1 << ci
+    everyone = (1 << len(constraints)) - 1
+    reach = [0] * len(alphas)  # constraints with an option at each point
+    for ai, opts in enumerate(holders):
+        for held in opts.values():
+            reach[ai] |= held
+    color_cache: dict[tuple, Optional[tuple]] = {}  # first colorings, 4 or more colors
 
     def colorable(ai: int, u: int, v: int, colors: int) -> bool:
-        """Whether the committed graph at ai plus edge uv is colors-colorable.
-
-        With 2 colors the committed graph is bipartite, and uv keeps it so
-        unless u and v sit on the same side of one component."""
-        if colors == 2:
-            return lab[ai][u] != lab[ai][v]
-        if colors >= q:
-            return True
+        """Whether the committed graph at ai plus edge uv is colors-colorable,
+        for 4 <= colors < q.  A coloring found for uv colors the committed
+        graph too, so it joins the certificates."""
         row = adj[ai]
         if max(top[ai], row[u].bit_count() + 1, row[v].bit_count() + 1) < colors:
             return True  # greedy coloring needs at most max degree + 1
+        for known in certs[ai]:
+            if known[u] != known[v]:
+                return True
+        for known in certs[ai]:
+            moved = _recolor_end(known, row, u, v, colors)
+            if moved:
+                certs[ai].append(moved)
+                return True
         row[u] |= 1 << v
         row[v] |= 1 << u
         key = (ai, colors, tuple(row))
-        got = color_cache.get(key)
-        if got is None:
-            got = _color_graph(q, row, colors) is not None
-            color_cache[key] = got
+        got = color_cache.get(key, key)
+        if got is key:
+            got = color_cache[key] = _color_graph(q, row, colors)
         row[u] ^= 1 << v
         row[v] ^= 1 << u
-        return got
+        if got is None:
+            return False
+        certs[ai].append(got)
+        return True
 
-    def solve(caps) -> bool:
-        """Commit each constraint to a split point, backtracking on color
-        budgets; on success the chosen edges are left in `adj`."""
+    def solve(caps, open_: int) -> bool:
+        """Commit each open constraint to a split point, backtracking on
+        color budgets; on success the chosen edges are left in `adj`."""
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(budget, t)  # t: the bit count the loop below tries
-        best, fewest = None, len(alphas) * q * q  # more options than any constraint has
-        for ci, sig in enumerate(constraints):
-            if split[ci]:
-                continue  # already split
-            count = 0
-            for opt in sig:
-                ai, u, v = opt
-                if caps[ai] == 1:
-                    continue
-                seen = verdicts[ai]
-                ok = seen.get(opt)
-                if ok is None:
-                    ok = seen[opt] = colorable(ai, u, v, caps[ai])
-                if ok:
-                    count += 1
-                    if count == fewest:
-                        break  # cannot beat the best; ties go to the lower index
-            if not count:
-                return False
-            if count < fewest:
-                best, fewest = sig, count
-                if count == 1:
-                    break
-        if best is None:
+        ci = _pick_constraint(open_, viable)
+        if ci is None:
             return True
-        # the winner's count was never cut off, so all its verdicts are cached
-        branch = [opt for opt in best if caps[opt[0]] != 1 and verdicts[opt[0]][opt]]
-        for opt in branch:
-            ai, u, v = opt
+        branch = [opt for opt in constraints[ci] if (viable[opt[0]] >> ci) & 1]
+        for ai, u, v in branch:  # none: the constraint cannot be split, so refute
+            colors = caps[ai]
             row = adj[ai]
-            saved = top[ai], verdicts[ai], lab[ai]
+            saved = top[ai], viable[ai], lab[ai], certs[ai]
             row[u] |= 1 << v
             row[v] |= 1 << u
             top[ai] = max(saved[0], row[u].bit_count(), row[v].bit_count())
-            verdicts[ai] = {}
-            if caps[ai] == 2:
-                lab[ai] = _join_sides(lab[ai], u, v)
-            for ci in holders[opt]:
-                split[ci] += 1
-            if solve(caps):
+            rest = open_ & ~holders[ai][u, v]
+            if colors == 2:
+                old = saved[2]
+                side = lab[ai] = _join_sides(old, u, v)
+                if side is not old:
+                    # a bipartite graph plus xy stays bipartite unless x and y
+                    # sit on one side of a component, so only x from u's old
+                    # component and y from v's can lose their edge
+                    xs = [x for x in range(q) if old[x] >> 1 == old[u] >> 1]
+                    ys = [y for y in range(q) if old[y] >> 1 == old[v] >> 1]
+                    for x in xs:
+                        for y in ys:
+                            if side[x] == side[y]:
+                                key = (x, y) if x < y else (y, x)
+                                viable[ai] &= ~holders[ai].get(key, 0)
+            elif colors < q:  # with q colors every graph on q vertices is colorable
+                certs[ai] = [known for known in saved[3] if known[u] != known[v]]
+                live, still = saved[1] & rest, 0
+                for (x, y), held in holders[ai].items():
+                    if held & live and colorable(ai, x, y, colors):
+                        still |= held
+                viable[ai] = still
+            if solve(caps, rest):
                 return True
-            for ci in holders[opt]:
-                split[ci] -= 1
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-            top[ai], verdicts[ai], lab[ai] = saved
+            top[ai], viable[ai], lab[ai], certs[ai] = saved
         return False
 
     def compositions(total: int, parts: int, cap: int):
@@ -476,11 +539,12 @@ def search_min_bandwidth(
                 for v in range(q):
                     row[v] = 0
             top[:] = [0] * len(alphas)
-            verdicts[:] = [{} for _ in alphas]  # verdicts depend on the caps
             lab[:] = [list(range(0, 2 * q, 2)) for _ in alphas]
-            split[:] = [0] * len(constraints)
+            certs[:] = [[] for _ in alphas]
+            # one edge is colorable with 2 or more colors, so all options are viable
+            viable[:] = [reach[ai] if b else 0 for ai, b in enumerate(bits)]
             caps = tuple(1 << b for b in bits)
-            if solve(caps):
+            if solve(caps, everyone):
                 colorings = [
                     _color_graph(q, adj[ai], caps[ai]) for ai in range(len(alphas))
                 ]

@@ -603,6 +603,22 @@ def test_scheme_rejects_json_booleans(capsys, tmp_path):
         assert err.startswith("error: ") and f"{key}[0]" in err and err.count("\n") == 1
 
 
+def test_scheme_errors_name_the_entry_and_its_value(capsys, tmp_path):
+    path = tmp_path / "scheme.json"
+    for key, idx, value, reason in (
+        ("servers", 3, 99, "99 is not an element of GF(7)"),
+        ("servers", 0, -1, "-1 is not an element of GF(7)"),
+        ("schedule", 2, 6, "6 is not a server"),
+    ):
+        obj = scheme_to_obj(gf7_scheme())
+        obj[key][idx] = value
+        path.write_text(json.dumps(obj))
+        assert cmd_dispatch(["qm", "verify", "--scheme", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.{key}[{idx}]: {reason}\n"
+
+
 def test_game_rejects_malformed_v_file(capsys, tmp_path):
     path = tmp_path / "v.json"
     for doc, where in (({"v_seq": [5]}, "v_seq[0]"), ({"v_seq": [[0], [7]]}, "v_seq[1]")):
@@ -759,6 +775,16 @@ def test_qm_search_rejects_an_empty_server_list(capsys, servers, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["qm", "mqm"])
+def test_qm_search_names_servers_outside_the_field(capsys, mode):
+    argv = ["qm", "search", "--q", "7", "--mode", mode, "--json", "--servers"]
+    for servers, message in (("99", "99: not an element"), ("1,8,-2,7", "-2, 7, 8: not elements")):
+        assert cmd_dispatch([*argv, servers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --servers {message} of GF(7)\n"
 
 
 def test_qm_search_mqm_rejects_servers_outside_the_restricted_set(capsys):

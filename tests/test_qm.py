@@ -23,6 +23,8 @@ from qmlab.qm import (
     LeakageScheme,
     _color_graph,
     _join_sides,
+    _pick_constraint,
+    _recolor_end,
     convert_eliminator,
     leak_bit,
     mqm_check,
@@ -82,8 +84,11 @@ def test_scheme_validation():
             LeakageScheme(ctx, k, i, j, frozenset({0}), (0,), (1,))
     swapped = LeakageScheme(ctx, 2, 1, 0, frozenset({0}), (0,), (1,))
     assert (swapped.i, swapped.j) == (1, 0)  # the targets as a set, in either order
-    with pytest.raises(InvalidScheme):
-        LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (1,), (1,))  # 1 not a server
+    with pytest.raises(InvalidScheme, match=r"^schedule\[1\]: 1 is not a server$") as err:
+        LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0, 1), (1, 1))
+    assert err.value.entry == "schedule[1]"
+    with pytest.raises(InvalidScheme, match=r"^servers\[2\]: 7 is not an element of GF\(7\)$"):
+        LeakageScheme(ctx, 2, 0, 1, [0, 6, 7], (0,), (1,))  # the servers as given
     with pytest.raises(InvalidScheme):
         LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0,), (1, 2))
     with pytest.raises(InvalidScheme):
@@ -405,6 +410,7 @@ def test_search_minima_match_a_brute_force(q, mode, domain, points, minimum):
         (7, MQM, range(7), 109),
         (5, APPENDIX, range(5), 245),
         (4, QM, range(4), 970),
+        (9, QM, (0, 5), 625),  # t = 8: probes with 4 or more colors
     ],
     ids=_mode_id,
 )
@@ -419,7 +425,8 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
 @pytest.mark.parametrize(
     "q, mode, servers, budget, t",
     [(7, APPENDIX, range(5), 3_635, 4), (7, APPENDIX, range(5), 100, 2),
-     (8, MQM, (1, 4, 7), 997, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1)],
+     (8, MQM, (1, 4, 7), 997, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1),
+     (9, MQM, (1, 2, 3, 6), 2_000, 3), (9, MQM, (1, 2, 3, 6), 5_000, 4)],
     ids=_mode_id,
 )
 def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
@@ -434,6 +441,49 @@ def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
     )
     if t:
         assert search_min_bandwidth(field(q), mode, set(servers), t_max=t - 1) is None
+
+
+def _pick_by_scan(n: int, open_: int, viable):
+    """The reference: scan the open constraints in index order, counting each
+    one's viable options in full; the first with at most one decides."""
+    best, fewest = None, None
+    for ci in range(n):
+        if not (open_ >> ci) & 1:
+            continue
+        count = sum((m >> ci) & 1 for m in viable)
+        if count <= 1:
+            return ci
+        if fewest is None or count < fewest:
+            best, fewest = ci, count
+    return best
+
+
+def test_pick_constraint_matches_an_in_order_scan():
+    rng = random.Random(23)
+    for trial in range(3000):
+        n = rng.randint(1, 70)
+        points = rng.randint(1, 11)
+        density = rng.random()
+        open_ = sum(1 << ci for ci in range(n) if rng.random() < 0.7)
+        viable = [
+            sum(1 << ci for ci in range(n) if rng.random() < density)
+            for _ in range(points)
+        ]
+        if trial % 3 and n >= 2 and points >= 2:
+            # an open constraint with no option and another with one, in either order
+            low, high = sorted(rng.sample(range(n), 2))
+            none, one = (low, high) if trial % 3 == 1 else (high, low)
+            open_ |= 1 << low | 1 << high
+            viable = [m & ~(1 << none) & ~(1 << one) for m in viable]
+            viable[rng.randrange(points)] |= 1 << one
+            assert _pick_by_scan(n, open_, viable) <= low
+        assert _pick_constraint(open_, viable) == _pick_by_scan(n, open_, viable)
+    assert _pick_constraint(0, [0b111]) is None
+    assert _pick_constraint(0b110, [0b011, 0b111]) == 2  # 1 has two options, 2 has one
+    assert _pick_constraint(0b111, [0b011, 0b011, 0b100]) == 2  # counts 2, 2, 1
+    assert _pick_constraint(0b111, [0b110, 0b110, 0b011]) == 0  # counts 1, 3, 2
+    assert _pick_constraint(0b111, [0b110, 0b110, 0b110]) == 0  # no option refutes first
+    assert _pick_constraint(0b111, [0b101, 0b111, 0b011]) == 1  # counts 3, 2, 2
 
 
 def _first_coloring_every_color(q: int, adj, colors: int):
@@ -469,6 +519,39 @@ def test_color_graph_matches_the_enumeration_of_every_color():
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
         assert _color_graph(q, adj, colors) == _first_coloring_every_color(q, adj, colors)
+
+
+def test_recolor_end_moves_one_end_to_a_free_color():
+    # a moved coloring must color the graph plus uv properly, and None must
+    # mean that each end's neighbors use every color but its own
+    rng = random.Random(9)
+    for _ in range(400):
+        q = rng.randint(3, 11)
+        colors = rng.choice((4, 8))
+        adj = [0] * q
+        for x in range(q):
+            for y in range(x):
+                if rng.random() < 0.5:
+                    adj[x] |= 1 << y
+                    adj[y] |= 1 << x
+        coloring = _color_graph(q, adj, colors)
+        pairs = [(u, v) for u in range(q) for v in range(u)
+                 if not (adj[u] >> v) & 1 and coloring and coloring[u] == coloring[v]]
+        if not pairs:
+            continue
+        u, v = rng.choice(pairs)
+        moved = _recolor_end(coloring, adj, u, v, colors)
+        if moved is None:
+            for w in (u, v):
+                seen = {coloring[x] for x in range(q) if (adj[w] >> x) & 1}
+                assert seen | {coloring[w]} == set(range(colors))
+            continue
+        probe = adj[:]
+        probe[u] |= 1 << v
+        probe[v] |= 1 << u
+        assert sum(a != b for a, b in zip(moved, coloring)) == 1
+        assert all(moved[x] != moved[y] and moved[x] < colors
+                   for x in range(q) for y in range(q) if (probe[x] >> y) & 1)
 
 
 @pytest.mark.parametrize("q", [5, 7, 9, 11])
