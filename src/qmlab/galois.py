@@ -35,7 +35,13 @@ the end of the table and land one period ahead (`inv`, `div`).
 
 `trace` reads a per-field table of q entries on tabled fields, built on
 its first call by the Frobenius-sum loop with its prime-subfield assert run
-on every element; fields above the table limit run the loop per call.
+on every element.  Above the table limit it uses that the trace is
+prime-subfield linear: Tr(a) = sum_d digit_d(a) * Tr(x^d) mod p, with the e
+values Tr(x^d) built once per field by the same loop.
+
+`poly_eval` runs Horner's rule with the step picked once per call:
+(acc*x + c) mod p on prime fields, exp[log acc + log x] XOR c on tabled
+p = 2 fields, and `mul` then `add` on every other field.
 """
 
 from __future__ import annotations
@@ -185,6 +191,7 @@ class FieldCtx:
         self._log = None
         self._zech = None  # Zech logarithms, for tabled odd-p extension fields
         self._trace = None  # trace table, built by the first `trace` on a tabled field
+        self._trace_basis = None  # (Tr(x^d))_d, built by the first `trace` above the limit
         if q <= _TABLE_LIMIT:
             self._build_tables()
 
@@ -346,11 +353,16 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         """Tr(a) = a + a^p + ... + a^{p^{e-1}}; always lands in the prime subfield.
 
-        A table lookup on tabled fields; the first call builds the table."""
+        A table lookup on tabled fields; the first call builds the table.
+        Above the table limit the trace is read off the digits of a, since it
+        is prime-subfield linear: Tr(a) = sum_d digit_d(a) * Tr(x^d) mod p."""
         table = self._trace
         if table is None:
             if self._exp is None:
-                return self._trace_sum(a)
+                basis = self._trace_basis
+                if basis is None:
+                    basis = self._trace_basis = [self._trace_sum(self.p**d) for d in range(self.e)]
+                return sum(d * t for d, t in zip(self.digits(a), basis)) % self.p
             table = self._trace = [self._trace_sum(x) for x in range(self.q)]
         return table[a]
 
@@ -365,10 +377,27 @@ class FieldCtx:
         return acc
 
     def poly_eval(self, coeffs, x: int) -> int:
-        """Evaluate sum(coeffs[w] * x^w) by Horner's rule; coeffs is a sequence."""
+        """Evaluate sum(coeffs[w] * x^w) by Horner's rule; coeffs is a sequence.
+
+        The step acc -> acc*x + c is picked once per call: residues mod p on
+        prime fields, an exp/log lookup and XOR on tabled p = 2 fields (for
+        x != 0), `mul` and `add` otherwise."""
         acc = 0
+        if self.e == 1:
+            p = self.p
+            for c in reversed(coeffs):
+                acc = (acc * x + c) % p
+            return acc
+        exp = self._exp
+        if self.p == 2 and exp is not None and x:
+            log = self._log
+            shift = log[x]
+            for c in reversed(coeffs):
+                acc = (exp[log[acc] + shift] if acc else 0) ^ c
+            return acc
+        add, mul = self.add, self.mul
         for c in reversed(coeffs):
-            acc = self.add(self.mul(acc, x), c)
+            acc = add(mul(acc, x), c)
         return acc
 
 

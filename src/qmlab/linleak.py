@@ -11,6 +11,7 @@ function can tell apart, which is the whole impossibility argument.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -40,41 +41,65 @@ def trace_leak(ctx: FieldCtx, query: TraceQuery, x: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _trace_row(ctx: FieldCtx, y: int) -> tuple:
-    """Row y of the field's trace-row table: (trace(y * x^c))_c, where the
-    basis element x^c is encoded as p**c.  The trace is prime-subfield
-    linear, so the row's dot product with the digits of x is trace(y*x).
-    The cache fills the table only with rows the queries ask for."""
-    return tuple(ctx.trace(ctx.mul(y, ctx.p**c)) for c in range(ctx.e))
+def _trace_word(ctx: FieldCtx, y: int) -> int:
+    """Row y of the field's trace-row table packed base p: digit c is
+    trace(y * x^c), where the basis element x^c is encoded as p**c.  The
+    trace is prime-subfield linear, so the row dotted with the digits of x
+    is trace(y*x).  The cache fills the table only with rows the queries
+    ask for."""
+    p = ctx.p
+    return sum(ctx.trace(ctx.mul(y, p**c)) * p**c for c in range(ctx.e))
 
 
-def _kernel_vector(rows, width: int, p: int) -> tuple:
-    """First kernel vector of the row system in reduced echelon order:
-    unit weight on the first free column, then the head digit scaled to 1."""
-    mat = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(width):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], p - 2, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[rank])]
-        pivots.append(col)
-        rank += 1
-    free = next(c for c in range(width) if c not in pivots)
-    vec = [0] * width
-    vec[free] = 1
-    for row, col in zip(mat, pivots):
-        vec[col] = -row[free] % p
-    head = next(x for x in vec if x)
-    scale = pow(head, p - 2, p)
-    return tuple(x * scale % p for x in vec)
+def _kernel_word(rows, width: int, p: int) -> int:
+    """First kernel vector of fewer than `width` rows in reduced echelon
+    order, packed base p like the rows: unit weight on the first free
+    column, then the head digit scaled to 1.
+
+    Each row is reduced by the basis so far, scaled to head digit 1 and
+    cleared from the other basis rows, so the basis stays in reduced
+    echelon form.  A column is named by its weight p**c; the head column
+    of a nonzero word is the largest power of p dividing it.  Only the row
+    update depends on p, picked once per call: XOR for p = 2, digit-wise
+    mod p otherwise.
+    """
+    top = p**width
+    xor = p == 2
+
+    def sub(row, d, piv, w):
+        """row - d * piv, digit-wise mod p, where piv has no digit below weight w."""
+        row, out = divmod(row, w)
+        piv //= w
+        while row or piv:
+            out += (row - d * piv) % p * w
+            row //= p
+            piv //= p
+            w *= p
+        return out
+
+    basis = []  # (head column weight, row with head digit 1)
+    for row in rows:
+        for w, piv in basis:
+            d = row // w % p
+            if d:
+                row = row ^ piv if xor else sub(row, d, piv, w)
+        if row:
+            w = math.gcd(row, top)
+            h = row // w % p
+            if h != 1:
+                row = sub(0, -pow(h, -1, p), row, w)  # 0 - (-1/h) * row
+            for n, (b, r) in enumerate(basis):
+                d = r // w % p
+                if d:
+                    basis[n] = b, r ^ row if xor else sub(r, d, row, w)
+            basis.append((w, row))
+    # the head columns carry digit p - 1 in the sum, so adding 1 carries up
+    # to the first free column
+    free = math.gcd(sum(w for w, _ in basis) * (p - 1) + 1, top)
+    vec = free + sum(-(r // free) % p * w for w, r in basis)
+    w = math.gcd(vec, top)
+    h = vec // w % p
+    return vec if h == 1 else sub(0, -pow(h, -1, p), vec, w)
 
 
 def zero_trace_line(ctx: FieldCtx, queries) -> tuple:
@@ -82,19 +107,21 @@ def zero_trace_line(ctx: FieldCtx, queries) -> tuple:
 
     The probes give 2e-1 digit-linear conditions on the 2e digits of
     (u, v), so the kernel is nontrivial; the returned line is the canonical
-    kernel vector.  linear_impossibility_check verifies what it builds from
-    the line against every probe.
+    kernel vector.  A probe's row is its trace words for u and v side by
+    side, and so is the kernel word: u is its low e digits, v the high e.
+    linear_impossibility_check verifies what it builds from the line
+    against every probe.
     """
     queries = tuple(queries)
-    e = ctx.e
+    e, q = ctx.e, ctx.q
     if len(queries) != 2 * e - 1:
         raise PreconditionViolated(f"need exactly {2 * e - 1} queries")
     rows = [
-        _trace_row(ctx, ctx.mul(qy.gamma, qy.alpha)) + _trace_row(ctx, qy.gamma)
+        _trace_word(ctx, ctx.mul(qy.gamma, qy.alpha)) + _trace_word(ctx, qy.gamma) * q
         for qy in queries
     ]
-    vec = _kernel_vector(rows, 2 * e, ctx.p)
-    return ctx.from_digits(vec[:e]), ctx.from_digits(vec[e:])
+    v, u = divmod(_kernel_word(rows, 2 * e, ctx.p), q)
+    return u, v
 
 
 def decompose(ctx: FieldCtx, u: int, v: int) -> tuple:
@@ -140,7 +167,9 @@ def linear_impossibility_check(ctx: FieldCtx, k: int, i: int, j: int, queries) -
             f"k={k} exceeds q={ctx.q}: a Reed-Solomon code over GF({ctx.q}) has k <= q"
         )
     if not (0 <= i < k and 0 <= j < k) or i == j:
-        raise PreconditionViolated("need two distinct coefficient targets")
+        raise PreconditionViolated(
+            f"targets i={i}, j={j} must be distinct, non-negative and below k={k}"
+        )
     r = (j - i) % (ctx.q - 1)
     u, v = zero_trace_line(ctx, (_lift(ctx, qy, r, i) for qy in queries))
     if u == v == 0:

@@ -843,6 +843,53 @@ def test_linleak_check_rejects_k_above_q(capsys, k):
     assert captured.err.startswith(f"error: k={k} exceeds q=4") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("linleak check --q 9 --samples 20 --seed 0",
+         "59d3cb3df442872c9a1483f5af11d4c2405c9bda6617f4f4c57585b4ae5ed62d"),
+        ("linleak check --q 9 --samples 20 --seed 1",
+         "7f9fa8b3f253d48b2ee2306b70cb0518c00579479e7aa1b69fdd79bb0e88b51e"),
+        ("linleak check --q 16 --samples 20 --seed 0",
+         "ce1cdf52aee91c11c918a6b137113057d95d165c583b54630f9732131524134a"),
+        ("linleak check --q 16 --samples 20 --seed 1",
+         "e2004f374ca4dd2e7949506a497e1ab6fc01a72f52632bf92b4c140113249a3f"),
+        ("linleak check --q 25 --samples 20 --seed 0",
+         "2994d34e8e0440dad774779b00d12e5a76b0c86a069630342fe547614ae2ac8d"),
+        ("linleak check --q 25 --samples 20 --seed 1",
+         "db5db0e8763ec805d8051fcd837bf642912527f1ad5292786b3592402b8c12c1"),
+        ("linleak check --q 27 --samples 20 --seed 0",
+         "f948e174d99fe42a55d043d8b851ef20a549c535141c0d61a7a591173c31a8fc"),
+        ("linleak check --q 27 --samples 20 --seed 1",
+         "65ed51bbf59a728528689c6cf704043631cbf580ecb95f974927298551d10fdc"),
+        ("linleak check --q 8192 --samples 20 --seed 0",
+         "04a12f9407c21c8edb5a173b59fb3ae9780546e037e17d8b81c3164864cc0875"),
+        ("linleak check --q 8192 --samples 20 --seed 1",
+         "1593f61f6a112738b37500591b2a32823e880e990b79c6fdf6ae30a2732a7c20"),
+        ("linleak check --q 4 --exhaustive --k 4 --i 3 --j 0",
+         "f4a3f4ed529be694e9b3028345d103860ceb2335eaa20c40775b9eebb4c328e4"),
+    ],
+)
+def test_linleak_check_reports_are_pinned(capsys, command, digest):
+    # odd p, tabled p = 2 and an untabled field, beyond the benchmark's fields;
+    # recorded with the earlier list-of-digits kernel
+    code, out = run_cli(capsys, [*command.split(), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "k, i, j", [("0", "0", "1"), ("3", "2", "2"), ("2", "-1", "1"), ("3", "0", "3")]
+)
+def test_linleak_check_names_bad_targets(capsys, k, i, j):
+    argv = ["linleak", "check", "--q", "4", "--k", k, "--i", i, "--j", j, "--samples", "3"]
+    assert cmd_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = f"error: targets i={i}, j={j} must be distinct, non-negative and below k={k}\n"
+    assert captured.err == want
+
+
 @pytest.mark.parametrize("q, k, i, j", [(8, 3, 0, 2), (9, 4, 1, 3)])
 def test_linleak_check_witness_collides_at_the_targets(capsys, q, k, i, j):
     argv = ["linleak", "check", "--q", str(q), "--k", str(k), "--i", str(i), "--j", str(j)]

@@ -205,6 +205,19 @@ def test_trace_table_matches_the_frobenius_sum():
     assert big._trace is None
 
 
+@pytest.mark.parametrize("q", [2**13, 2**16, 3**9, 5**6])
+def test_untabled_trace_matches_the_frobenius_sum(q):
+    # above the table limit trace reads digits against (Tr(x^d))_d
+    ctx = field(q)
+    assert ctx._exp is None
+    rng = random.Random(q)
+    basis = [ctx.p**d for d in range(ctx.e)]
+    for a in [0, 1, q - 1] + basis + [rng.randrange(q) for _ in range(60)]:
+        assert ctx.trace(a) == ctx._trace_sum(a), (q, a)
+    assert ctx._trace is None
+    assert ctx._trace_basis == [ctx._trace_sum(b) for b in basis]
+
+
 @pytest.mark.parametrize("q", [7, 16, 81, 6561])
 def test_add_elems_matches_add(q):
     # one field per add path: mod p, XOR, Zech logarithms, digit lists
@@ -323,6 +336,32 @@ def test_poly_eval():
     assert f7.poly_eval((2, 3), 1) == 5
     assert f7.poly_eval((2, 3), 2) == 1
     assert f7.poly_eval((0, 0, 1), 5) == 4  # x^2 at 5
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 25, 64, 81, 243, 6561, 8192])
+def test_poly_eval_matches_a_digitwise_horner(q):
+    # one field per poly_eval path: mod p, tabled p = 2, and mul/add with
+    # Zech, XOR and digit-list addition
+    ctx = field(q)
+    p = ctx.p
+
+    def horner(coeffs, x):
+        acc = 0
+        for c in reversed(coeffs):
+            prod = ctx._raw_mul(acc, x)
+            acc = ctx.from_digits((a + b) % p for a, b in zip(ctx.digits(prod), ctx.digits(c)))
+        return acc
+
+    rng = random.Random(q)
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(12)]
+    lists = [[]]
+    for k in range(1, 6):
+        lists += [[0] * k, [q - 1] * k, [0] * (k - 1) + [rng.randrange(1, q)]]
+        lists += [[rng.randrange(q) for _ in range(k)] for _ in range(4)]
+    for coeffs in lists:
+        for x in xs:
+            assert ctx.poly_eval(coeffs, x) == horner(coeffs, x), (q, coeffs, x)
+            assert ctx.poly_eval(tuple(coeffs), x) == horner(coeffs, x), (q, coeffs, x)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 9, 25, 64, 81, 243, 6561, 8192])

@@ -10,7 +10,7 @@ from qmlab.galois import field
 from qmlab.linleak import (
     TraceQuery,
     _lift,
-    _trace_row,
+    _trace_word,
     decompose,
     linear_impossibility_check,
     trace_leak,
@@ -53,13 +53,14 @@ def test_trace_leak_values():
 
 
 def test_trace_row_identity():
-    """zero_trace_line relies on sum_c row_y[c] * digits(x)[c] = trace(y*x) mod p."""
+    """zero_trace_line relies on sum_c digit_c(word_y) * digits(x)[c] = trace(y*x) mod p."""
     rng = random.Random(0)
 
     def holds(ctx, y, x):
-        row = _trace_row(ctx, y)
+        word = _trace_word(ctx, y)
+        row = ctx.digits(word)  # the e base-p digits of the packed word
         dot = sum(r * d for r, d in zip(row, ctx.digits(x))) % ctx.p
-        return len(row) == ctx.e and dot == ctx.trace(ctx.mul(y, x))
+        return word < ctx.q and dot == ctx.trace(ctx.mul(y, x))
 
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
         ctx = field(q)
@@ -94,6 +95,44 @@ def test_zero_trace_line_exhaustive_gf4():
         assert (u, v) != (0, 0)
         for qy in tup:
             assert trace_leak(ctx, qy, ctx.add(ctx.mul(u, qy.alpha), v)) == 0
+
+
+def _brute_force_line(ctx, queries):
+    """The canonical kernel line found by enumerating GF(p)^(2e): among the
+    nonzero (u, v) that every probe reads as zero, those whose highest
+    nonzero digit index is smallest are the multiples of one line, and the
+    canonical one has first nonzero digit 1."""
+    best, found = None, []
+    for u in ctx.elements:
+        for v in ctx.elements:
+            if (u, v) == (0, 0):
+                continue
+            if any(trace_leak(ctx, qy, ctx.add(ctx.mul(u, qy.alpha), v)) for qy in queries):
+                continue
+            digits = ctx.digits(u) + ctx.digits(v)
+            high = max(c for c, d in enumerate(digits) if d)
+            if best is None or high < best:
+                best, found = high, []
+            if high == best and next(d for d in digits if d) == 1:
+                found.append((u, v))
+    assert len(found) == 1, found
+    return found[0]
+
+
+def test_zero_trace_line_is_the_brute_force_line():
+    ctx = field(4)
+    for tup in itertools.product(query_space(ctx), repeat=3):
+        assert zero_trace_line(ctx, tup) == _brute_force_line(ctx, tup), tup
+    rng = random.Random(2)
+    for q, n in ((8, 300), (9, 300), (16, 100), (27, 100)):
+        ctx = field(q)
+        t = 2 * ctx.e - 1
+        for _ in range(n):
+            # gamma = 0 and repeated probes give rank-deficient systems
+            space = [TraceQuery(rng.randrange(1, q), rng.choice((0, rng.randrange(q))))
+                     for _ in range(t)]
+            tup = [rng.choice(space) for _ in range(t)]
+            assert zero_trace_line(ctx, tup) == _brute_force_line(ctx, tup), (q, tup)
 
 
 def test_zero_trace_line_sampled_extensions():
@@ -170,26 +209,39 @@ def test_collision_seeded_gf8():
 
 def _off_by_one_kernel(monkeypatch):
     """Patch the kernel so its last digit is one more than it should be."""
-    exact = linleak._kernel_vector
+    exact = linleak._kernel_word
 
     def wrong(rows, width, p):
-        vec = exact(rows, width, p)
-        return vec[:-1] + ((vec[-1] + 1) % p,)
+        word = exact(rows, width, p)
+        top = p ** (width - 1)
+        last = word // top
+        return word - last * top + (last + 1) % p * top
 
-    monkeypatch.setattr(linleak, "_kernel_vector", wrong)
+    monkeypatch.setattr(linleak, "_kernel_word", wrong)
 
 
-def test_a_wrong_kernel_is_a_failed_check(capsys, monkeypatch):
-    _off_by_one_kernel(monkeypatch)
-    code = cli.cmd_dispatch(["linleak", "check", "--q", "8", "--samples", "5", "--json"])
+def _assert_a_failed_check(capsys, q):
+    code = cli.cmd_dispatch(["linleak", "check", "--q", str(q), "--samples", "5", "--json"])
     captured = capsys.readouterr()
     report = json.loads(captured.out)
-    first = next(cli._sampled_queries(field(8), 5, 1, 0))
+    ctx = field(q)
+    first = next(cli._sampled_queries(ctx, 2 * ctx.e - 1, 1, 0))
     assert (code, captured.err) == (1, "")
     assert report["verified"] == 0 and report["witness"] is None
     (check,) = report["checks"]
     assert check["name"] == "all-collisions-verify" and not check["pass"]
     assert check["counterexample"]["queries"] == [[qy.alpha, qy.gamma] for qy in first]
+
+
+def test_a_wrong_kernel_is_a_failed_check(capsys, monkeypatch):
+    _off_by_one_kernel(monkeypatch)
+    _assert_a_failed_check(capsys, 8)
+
+
+def test_a_wrong_kernel_is_a_failed_check_on_odd_p(capsys, monkeypatch):
+    # GF(9) runs the digit-wise mod p row update instead of XOR
+    _off_by_one_kernel(monkeypatch)
+    _assert_a_failed_check(capsys, 9)
 
 
 def test_a_wrong_kernel_fails_the_suite_rows(monkeypatch):
