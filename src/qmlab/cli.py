@@ -13,7 +13,12 @@ reports; wall time is printed in text mode only for the same reason.
 rows of every supported q <= --qmax, picked by regime, then each fixed row
 whose q <= --qmax.  A builder returns (ok, fields); the runner stamps name,
 pass and q on the check and records a raising builder as a failed check
-with its `error`.  The commands reuse the builders' helpers.
+with its `error`.  The commands reuse the builders' helpers.  Where
+`os.fork` exists, a forked worker runs the per-field sweep while this
+process runs the fixed rows, and the checks are put back in report order;
+without it the whole battery runs in one process.  A `--timings` line is
+its check's own wall time in the process that ran it, so the lines can sum
+to more than the run.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_c
 from .errors import NoPairExists, PreconditionViolated, QmLabError, SchemaError
 from .errors import UnsupportedField
 from .galois import (
+    MAX_Q,
     FieldCtx,
     field,
     find_primitive,
@@ -1012,9 +1018,13 @@ def _field_rows(q: int) -> list:
     return rows
 
 
-def _suite_rows(qmax: int, seed: int) -> list:
-    """The battery in report order: the per-field rows for every q <= qmax,
-    then each fixed row whose q <= qmax."""
+def _sweep_rows(qmax: int) -> list:
+    """The per-field rows for every q <= qmax, in report order."""
+    return [row for q in range(3, qmax + 1) for row in _field_rows(q)]
+
+
+def _fixed_rows(qmax: int, seed: int) -> list:
+    """Each fixed row whose q <= qmax, in report order."""
     fixed = [
         _Row("scaled-pair-gf3", 3, _sc_scaled_pair_gf3),
         _Row("b11-gf3", 3, _sc_b11_gf3),
@@ -1041,21 +1051,79 @@ def _suite_rows(qmax: int, seed: int) -> list:
         _Row("linleak-lift-gf4", 4, _sc_linleak_lift),
         _Row("linleak-seeded-gf8", 8, partial(_sc_linleak_seeded, seed)),
     ]
-    rows = [row for q in range(3, qmax + 1) for row in _field_rows(q)]
-    return rows + [row for row in fixed if row.q <= qmax]
+    return [row for row in fixed if row.q <= qmax]
+
+
+def _suite_rows(qmax: int, seed: int) -> list:
+    """The battery in report order: the sweep, then the fixed rows."""
+    return _sweep_rows(qmax) + _fixed_rows(qmax, seed)
+
+
+def _timed_row(row: _Row) -> tuple:
+    """(check, seconds): the row's check and its wall time."""
+    start = time.perf_counter()
+    check = _run_row(row)
+    return check, time.perf_counter() - start
+
+
+def _run_beside(sweep: list, fixed: list) -> list:
+    """(check, seconds) for sweep + fixed, in that order.  A forked worker
+    runs the sweep and pickles one pair per row down a pipe while this
+    process runs the fixed rows.  Each row the worker did not report (it
+    died) becomes a failed check naming the worker's exit status, with
+    seconds nan.  The worker is reaped before this returns or raises."""
+    import pickle  # here, so no other command pays for its import
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: writes only to the pipe and never returns
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                for row in sweep:
+                    pickle.dump(_timed_row(row), pipe)
+                    pipe.flush()
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    pairs = []
+    try:
+        with open(read_fd, "rb") as pipe:
+            done = [_timed_row(row) for row in fixed]
+            while True:
+                try:
+                    pairs.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):  # also a pair cut short
+                    break
+    except BaseException:
+        os.kill(pid, 9)  # SIGKILL: no row the worker still runs is read
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+    error = f"suite worker {how} before reporting this row"
+    for row in sweep[len(pairs):]:
+        pairs.append((_check(row.name, False, q=row.q, error=error), math.nan))
+    return pairs + done
 
 
 def cmd_suite(args) -> RunReport:
     if args.qmax < 3:
         raise PreconditionViolated(f"--qmax must be at least 3, got {args.qmax}")
-    checks = []
+    if args.qmax > MAX_Q:  # beyond it `field` refuses every q
+        raise PreconditionViolated(f"--qmax must be at most {MAX_Q}, got {args.qmax}")
     # opened before the battery runs, so an unwritable path costs no work
     with open(args.timings, "w", encoding="utf-8") if args.timings else nullcontext() as timings:
-        for row in _suite_rows(args.qmax, args.seed):
-            start = time.perf_counter()
-            checks.append(_run_row(row))
-            if timings is not None:
-                timings.write(f"{time.perf_counter() - start:.6f} {row.name}\n")
+        sweep, fixed = _sweep_rows(args.qmax), _fixed_rows(args.qmax, args.seed)
+        if hasattr(os, "fork"):
+            pairs = _run_beside(sweep, fixed)
+        else:
+            pairs = [_timed_row(row) for row in sweep + fixed]
+        if timings is not None:
+            timings.writelines(f"{seconds:.6f} {check['name']}\n" for check, seconds in pairs)
+    checks = [check for check, _ in pairs]
     payload = {
         "qmax": args.qmax,
         "seed": args.seed,
@@ -1221,8 +1289,12 @@ def cmd_dispatch(argv=None) -> int:
     report.started = started
     try:
         print(report.to_json() if args.json else report.to_text(), flush=True)
-    except BrokenPipeError:  # the reader closed stdout early; the verdict stands
+    except OSError as exc:
+        # drop what stdout still buffers, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader leaves the verdict standing
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report.ok() else 1
 
 

@@ -41,14 +41,29 @@ def trace_leak(ctx: FieldCtx, query: TraceQuery, x: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _trace_powers(ctx: FieldCtx) -> tuple:
+    """Tr(x^k) for k < 2e - 1, where x is the basis element encoded as p."""
+    p, e = ctx.p, ctx.e
+    out = [ctx.trace(p**k) for k in range(e)]
+    xk = p ** (e - 1)
+    for _ in range(e - 1):
+        xk = ctx.mul(xk, p)
+        out.append(ctx.trace(xk))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _trace_word(ctx: FieldCtx, y: int) -> int:
     """Row y of the field's trace-row table packed base p: digit c is
     trace(y * x^c), where the basis element x^c is encoded as p**c.  The
     trace is prime-subfield linear, so the row dotted with the digits of x
-    is trace(y*x).  The cache fills the table only with rows the queries
-    ask for."""
-    p = ctx.p
-    return sum(ctx.trace(ctx.mul(y, p**c)) * p**c for c in range(ctx.e))
+    is trace(y*x), and digit c is sum_d y_d * Tr(x^(c+d)) mod p: no field
+    product is taken.  The cache fills the table only with rows the
+    queries ask for."""
+    p, e = ctx.p, ctx.e
+    ys = ctx.digits(y)
+    ts = _trace_powers(ctx)
+    return sum(sum(d * t for d, t in zip(ys, ts[c : c + e])) % p * p**c for c in range(e))
 
 
 def _kernel_word(rows, width: int, p: int) -> int:

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -683,6 +684,26 @@ def test_suite_rejects_qmax_below_three(capsys, qmax):
     assert code == 0 and len(report["checks"]) == report["passed"] > 0
 
 
+@pytest.mark.parametrize("qmax", ["1048577", "99999999999"])
+def test_suite_rejects_qmax_above_the_field_limit(capsys, monkeypatch, qmax):
+    # rejected before any row is built: beyond galois.MAX_Q `field` refuses every q
+    monkeypatch.setattr(cli, "_field_rows", None)
+    assert cmd_dispatch(["suite", "--qmax", qmax, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --qmax must be at most 1048576, got {qmax}\n"
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("json_flag", [["--json"], []])
+def test_a_failed_report_write_exits_2_with_one_error_line(json_flag):
+    argv = [sys.executable, "-m", "qmlab", "suite", "--qmax", "3", *json_flag]
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "error: cannot write the report: [Errno 28] No space left on device\n"
+
+
 def _qmlab(*argv):
     argv = [sys.executable, "-m", "qmlab", *argv]
     return subprocess.run(argv, capture_output=True, text=True, timeout=60)
@@ -952,6 +973,42 @@ def test_suite_records_unexpected_exception_as_failed_check(capsys, monkeypatch)
     assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
     rest = [c for c in report["checks"] if c["name"] != "regime-rejections-gf4"]
     assert rest == [c for c in clean["checks"] if c["name"] != "regime-rejections-gf4"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "7"])
+@pytest.mark.parametrize("qmax", ["3", "8", "9", "16", "64"])
+def test_suite_json_is_the_same_without_a_worker(capsys, monkeypatch, qmax, seed):
+    argv = ["suite", "--qmax", qmax, "--seed", seed, "--json"]
+    forked = run_cli(capsys, argv)
+    monkeypatch.delattr(os, "fork")
+    assert run_cli(capsys, argv) == forked
+
+
+def test_a_dead_worker_fails_the_rows_it_did_not_report(capsys, monkeypatch, tmp_path):
+    argv = ["suite", "--qmax", "8", "--json"]
+    _, clean = run_json(capsys, argv)
+    monkeypatch.setattr(cli, "_sc_weil", lambda q: os._exit(3))
+    timings = tmp_path / "timings.txt"
+    code = cmd_dispatch(argv + ["--timings", str(timings)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    sweep = [row.name for row in cli._sweep_rows(8)]
+    dead = sweep.index("weil-bound-gf3")  # the worker's first call of _sc_weil
+    for got, want in zip(report["checks"], clean["checks"]):
+        if want["name"] in sweep[dead:]:
+            error = "suite worker exited with status 3 before reporting this row"
+            want = {"name": want["name"], "pass": False, "q": want["q"], "error": error}
+        assert got == want
+    assert len(report["checks"]) == len(clean["checks"])
+    assert report["failed"] == len(sweep) - dead
+    lines = [line.split(" ", 1) for line in timings.read_text(encoding="utf-8").splitlines()]
+    assert [name for _, name in lines] == [c["name"] for c in clean["checks"]]
+    assert [wall == "nan" for wall, _ in lines] == [
+        c["name"] in sweep[dead:] for c in clean["checks"]
+    ]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_suite_repeat_runs_byte_identical(capsys):

@@ -73,6 +73,18 @@ def test_trace_row_identity():
         assert not bad, (q, bad[:5])
 
 
+@pytest.mark.parametrize("q, count", [(8, None), (9, None), (2**13, 200), (3**8, 200)])
+def test_trace_word_matches_the_direct_formula(q, count):
+    # digit c of word(y) is Tr(y * x^c), here a raw product and a Frobenius sum
+    ctx = field(q)
+    p, e = ctx.p, ctx.e
+    rng = random.Random(q)
+    ys = ctx.elements if count is None else [rng.randrange(q) for _ in range(count)]
+    for y in ys:
+        want = sum(ctx._trace_sum(ctx._raw_mul(y, p**c)) * p**c for c in range(e))
+        assert _trace_word(ctx, y) == want, y
+
+
 # ---------------------------------------------------------------- kernel lines
 
 
