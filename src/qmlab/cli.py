@@ -146,6 +146,10 @@ def _text_value(v) -> str:
     return canonical_json(v)
 
 
+def _payload_lines(payload: dict) -> list:
+    return [f"{key} = {_text_value(payload[key])}" for key in sorted(payload)]
+
+
 def _check(name: str, ok, **extra) -> dict:
     out = {"name": name, "pass": bool(ok)}
     out.update(extra)
@@ -181,11 +185,7 @@ class RunReport:
 
     def to_text(self) -> str:
         lines = [f"qmlab {self.command}"]
-        if self.text_body:
-            lines += self.text_body()
-        else:
-            for key in sorted(self.payload):
-                lines.append(f"{key} = {_text_value(self.payload[key])}")
+        lines += self.text_body() if self.text_body else _payload_lines(self.payload)
         for c in self.checks:
             extra = {k: v for k, v in c.items() if k not in ("name", "pass")}
             suffix = f"  {canonical_json(extra)}" if extra else ""
@@ -540,8 +540,9 @@ def cmd_qm_search(args) -> RunReport:
                 f"--servers {listed}: outside the restricted set {{{members}}} of"
                 f" GF({ctx.q}), the only points mqm mode queries"
             )
+    work: dict = {}
     got = search_min_bandwidth(
-        ctx, args.mode, servers, t_max=args.tmax, budget=args.budget
+        ctx, args.mode, servers, t_max=args.tmax, budget=args.budget, counters=work
     )
     payload = {
         "field": ctx.descriptor(),
@@ -564,7 +565,15 @@ def cmd_qm_search(args) -> RunReport:
         payload["t"] = t
         payload["scheme"] = scheme_to_obj(scheme)
         checks = [_check("scheme-found", True, t=t)]
-    return RunReport("qm search", payload, checks)
+    return RunReport("qm search", payload, checks, text_body=partial(_search_lines, payload, work))
+
+
+def _search_lines(payload: dict, work: dict) -> list:
+    """The payload, then the search's work counters, which --json leaves out."""
+    return _payload_lines(payload) + [
+        f"search work = {work['nodes']} nodes expanded; cap tuples {work['tuples']} searched,"
+        f" {work['skipped']} skipped by symmetry; {work['dead_edges']} dead edges learned"
+    ]
 
 
 def cmd_qm_convert(args) -> RunReport:

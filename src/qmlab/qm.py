@@ -14,6 +14,24 @@ F_q they induce (b masks make at most 2**b cells, and any partition into at
 most 2**b cells is b masks), so minimal bandwidth is found by branch and
 bound over per-point partitions with graph-coloring feasibility checks,
 ordered canonically so witnesses are reproducible.
+
+The search visits each symmetry class once.  A message map that carries the
+mode's product domain onto itself sends the evaluation at a server alpha to
+the evaluation at an image point through a bijection of values, so it moves
+a valid scheme to a valid scheme on the image points, with the same number
+of bits at each image.  Three maps generate the group, each admitted only
+when it keeps the product domain:
+(c0, c1) -> (lam*c0, nu*c1) sends alpha to lam*alpha/nu and multiplies the
+products by lam*nu (any lam, nu for qm and appendix; lam*nu a square for
+odd-p mqm, where Omega is the squares; only lam*nu = 1 over binary Omega);
+the swap (c0, c1) -> (c1, c0) sends alpha to 1/alpha, so it applies only
+when server 0 is not used; and Frobenius sends alpha to alpha^p, which fixes
+Omega only for odd p.  A cap tuple that a map carries onto a refuted one, its
+used servers landing on servers, is refuted; within one tuple, so is every
+edge that a map fixing the tuple carries onto the edge of a failed root
+branch.  The search skips exactly these, which hold no solution, and
+branches in the same order as without them, so its first solution, and so
+every witness and every t, is the same.
 """
 
 from __future__ import annotations
@@ -262,6 +280,76 @@ def _separation_problem(ctx: FieldCtx, mode: str, servers: frozenset):
     return tuple(alphas), constraints, blocked
 
 
+class _MessageMap(NamedTuple):
+    """(c0, c1) -> (lam * d0, nu * d1), where (d0, d1) is (c0, c1) raised to
+    the power p**frob, then swapped when `swap` is set."""
+
+    lam: int
+    nu: int
+    swap: bool
+    frob: int
+
+
+def _message_maps(ctx: FieldCtx, mode: str) -> tuple:
+    """The group generated by the scalings, the swap and Frobenius that carry
+    the mode's product domain onto itself.
+
+    The image of a message with product g has product lam*nu * g**(p**frob),
+    so a scaling is admitted when lam*nu times the domain is the domain and
+    Frobenius when the domain's p-th powers are the domain; the swap keeps
+    every product.  Compositions of admitted maps keep the domain too."""
+    domain = frozenset(_mode_domain(ctx, mode))
+
+    def keeps(f) -> bool:
+        return frozenset(map(f, domain)) == domain
+
+    products = [s for s in ctx.units if keeps(lambda g: ctx.mul(s, g))]
+    frobs = range(ctx.e) if keeps(lambda g: ctx.pow(g, ctx.p)) else range(1)
+    return tuple(
+        _MessageMap(lam, ctx.div(s, lam), swap, f)
+        for f in frobs
+        for swap in (False, True)
+        for s in products
+        for lam in ctx.units
+    )
+
+
+def _point_action(ctx: FieldCtx, g: _MessageMap, alphas) -> tuple:
+    """(perm, values) with g(c) evaluated at alphas[perm[ai]] equal to
+    values[ai][c evaluated at alphas[ai]] for every message c; perm[ai] and
+    values[ai] are None when g sends alphas[ai] outside alphas, or alphas[ai]
+    is 0 and g swaps (the swap sends alpha to 1/alpha).
+
+    With d = (c0, c1)**(p**frob) and a' = a**(p**frob), d evaluates at a' to
+    c(a)**(p**frob); the swap evaluates at 1/a' to that times 1/a'; and the
+    scaling evaluates at lam*b/nu to lam times the value at b."""
+    index = {a: ai for ai, a in enumerate(alphas)}
+    power = ctx.p**g.frob
+    powers = ctx.elements if power == 1 else [ctx.pow(u, power) for u in ctx.elements]
+    kappa = ctx.div(g.lam, g.nu)
+    perm, values = [], []
+    for a in alphas:
+        b, scale = powers[a], g.lam
+        if g.swap and b:
+            b = ctx.inv(b)
+            scale = ctx.mul(scale, b)
+        image = None if g.swap and not b else index.get(ctx.mul(kappa, b))
+        perm.append(image)
+        values.append(None if image is None else tuple(ctx.mul(scale, u) for u in powers))
+    return tuple(perm), tuple(values)
+
+
+@lru_cache(maxsize=None)
+def _symmetries(ctx: FieldCtx, mode: str, alphas: tuple) -> tuple:
+    """The point actions of _message_maps on alphas, grouped by point map:
+    (perm, value maps) pairs, each value map listed once."""
+    grouped: dict = {}
+    for g in _message_maps(ctx, mode):
+        perm, values = _point_action(ctx, g, alphas)
+        grouped.setdefault(perm, {})[values] = None
+    return tuple((perm, tuple(tables)) for perm, tables in grouped.items())
+
+
 def _color_graph(q: int, adj, colors: int):
     """First proper coloring (smallest color per vertex in encoding order)
     of the graph given by adjacency bitmasks, or None when colors are few.
@@ -364,6 +452,7 @@ def search_min_bandwidth(
     servers,
     t_max: int | None = None,
     budget: int = 10**6,
+    counters: dict | None = None,
 ) -> Optional[tuple]:
     """Minimum number of leaked bits admitting a valid scheme, with witness.
 
@@ -391,6 +480,23 @@ def search_min_bandwidth(
     once one end moves to a color its neighbors leave free (_recolor_end).
     Only then is the graph colored.  Degrees, labels, viable masks and
     certificates are restored on backtrack.
+
+    Each symmetry class is searched once (see the module docstring).  A cap
+    tuple is skipped when a map that sends its used points to queried points
+    carries it onto a tuple already refuted at this t.  Within a tuple, a
+    root branch (point, u, v) that fails proves that no solution splits u, v
+    there, so every image of that edge under the maps fixing the tuple's
+    caps is dead, and a later branch committing a dead edge is skipped.  The
+    value scalings (c0, c1) -> (lam*c0, lam*c1) fix every point, so they act
+    whenever the mode admits them.  The skips never touch the viable masks,
+    so the branching order and the first solution are those of the
+    unreduced search.  The budget counts only the nodes expanded: a budget
+    hit still proves every smaller t refuted, and a given budget now reaches
+    further.
+
+    When `counters` is a dict, it receives the work done: "nodes" expanded,
+    cap "tuples" searched, tuples "skipped" by symmetry and "dead_edges"
+    learned, summed over the tuples.
     """
     if ctx.q > _SEARCH_Q_LIMIT:
         raise PreconditionViolated(f"exhaustive search capped at q <= {_SEARCH_Q_LIMIT}")
@@ -402,6 +508,8 @@ def search_min_bandwidth(
     q = ctx.q
     domain = _mode_domain(ctx, mode)
     alphas, constraints, blocked = _separation_problem(ctx, mode, servers)
+    work = {} if counters is None else counters
+    work.update(nodes=0, tuples=0, skipped=0, dead_edges=0)
     if blocked:
         return None  # some pair no query separates: no bandwidth suffices
 
@@ -482,12 +590,16 @@ def search_min_bandwidth(
         nonlocal nodes
         nodes += 1
         if nodes > budget:
+            work["nodes"] = budget
             raise BudgetExceeded(budget, t)  # t: the bit count the loop below tries
         ci = _pick_constraint(open_, viable)
         if ci is None:
             return True
         branch = [opt for opt in constraints[ci] if (viable[opt[0]] >> ci) & 1]
-        for ai, u, v in branch:  # none: the constraint cannot be split, so refute
+        for edge in branch:  # none: the constraint cannot be split, so refute
+            if edge in dead:
+                continue
+            ai, u, v = edge
             colors = caps[ai]
             row = adj[ai]
             saved = top[ai], viable[ai], lab[ai], certs[ai]
@@ -521,6 +633,10 @@ def search_min_bandwidth(
             row[u] ^= 1 << v
             row[v] ^= 1 << u
             top[ai], viable[ai], lab[ai], certs[ai] = saved
+            if open_ == everyone:  # a root branch: no solution splits u, v at ai
+                for perm, values in fixers:
+                    x, y = values[ai][u], values[ai][v]
+                    dead.add((perm[ai], x, y) if x < y else (perm[ai], y, x))
         return False
 
     def compositions(total: int, parts: int, cap: int):
@@ -532,9 +648,17 @@ def search_min_bandwidth(
             for rest in compositions(total - first, parts - 1, cap):
                 yield (first,) + rest
 
+    symmetries = _symmetries(ctx, mode, alphas)
+    dead: set[tuple] = set()  # edges (ai, u, v) no solution of the current caps splits
+    fixers: list[tuple] = []  # (perm, values) of the maps that fix the current caps
     cap = max(1, (q - 1).bit_length())  # a partition into singletons splits all
     for t in range(t_max + 1):
+        refuted: set[tuple] = set()  # cap tuples at t with a refuted orbit mate
         for bits in compositions(t, len(alphas), cap):
+            if bits in refuted:
+                work["skipped"] += 1
+                continue
+            work["tuples"] += 1
             for row in adj:
                 for v in range(q):
                     row[v] = 0
@@ -544,9 +668,26 @@ def search_min_bandwidth(
             # one edge is colorable with 2 or more colors, so all options are viable
             viable[:] = [reach[ai] if b else 0 for ai, b in enumerate(bits)]
             caps = tuple(1 << b for b in bits)
-            if solve(caps, everyone):
+            used = [ai for ai, b in enumerate(bits) if b]  # no edge elsewhere
+            dead.clear()
+            fixers[:] = [
+                (perm, values)
+                for perm, tables in symmetries
+                if all(perm[ai] is not None and bits[perm[ai]] == bits[ai] for ai in used)
+                for values in tables
+            ]
+            found = solve(caps, everyone)
+            work["nodes"] = nodes
+            work["dead_edges"] += len(dead)
+            if found:
                 colorings = [
                     _color_graph(q, adj[ai], caps[ai]) for ai in range(len(alphas))
                 ]
                 return finish(bits, colorings)
+            for perm, _ in symmetries:
+                if all(perm[ai] is not None for ai in used):
+                    image = [0] * len(alphas)
+                    for ai in used:
+                        image[perm[ai]] = bits[ai]
+                    refuted.add(tuple(image))
     return None

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -23,8 +25,14 @@ from qmlab.qm import (
     LeakageScheme,
     _color_graph,
     _join_sides,
+    _message_maps,
+    _MessageMap,
+    _mode_domain,
     _pick_constraint,
+    _point_action,
     _recolor_end,
+    _separation_problem,
+    _symmetries,
     convert_eliminator,
     leak_bit,
     mqm_check,
@@ -403,20 +411,24 @@ def test_search_minima_match_a_brute_force(q, mode, domain, points, minimum):
 @pytest.mark.parametrize(
     "q, mode, servers, nodes",
     [
-        (7, APPENDIX, range(5), 3_636),
-        (5, QM, range(5), 4_168),
-        (8, MQM, (1, 4, 7), 998),
-        (3, QM, range(3), 14),
-        (7, MQM, range(7), 109),
-        (5, APPENDIX, range(5), 245),
-        (4, QM, range(4), 970),
-        (9, QM, (0, 5), 625),  # t = 8: probes with 4 or more colors
+        (7, APPENDIX, range(5), 1_157),
+        (5, QM, range(5), 1_070),
+        (8, MQM, (1, 4, 7), 830),
+        (3, QM, range(3), 11),
+        (7, MQM, range(7), 55),
+        (5, APPENDIX, range(5), 152),
+        (4, QM, range(4), 249),
+        # t = 8: probes with 4 or more colors; no map keeps {0, 5} but the
+        # value scalings, and each refuted tuple dies on one-option constraints
+        (9, QM, (0, 5), 625),
     ],
     ids=_mode_id,
 )
 def test_search_node_budget_boundaries(q, mode, servers, nodes):
     # the exact node count pins the search tree: any change to which nodes
-    # are visited, or in what order, moves one of these boundaries
+    # are visited, or in what order, moves one of these boundaries; the
+    # search without its symmetry skips needed 3,636, 4,168, 998, 14, 109,
+    # 245, 970 and 625 nodes
     assert search_min_bandwidth(field(q), mode, set(servers), budget=nodes) is not None
     with pytest.raises(BudgetExceeded):
         search_min_bandwidth(field(q), mode, set(servers), budget=nodes - 1)
@@ -424,14 +436,16 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
 
 @pytest.mark.parametrize(
     "q, mode, servers, budget, t",
-    [(7, APPENDIX, range(5), 3_635, 4), (7, APPENDIX, range(5), 100, 2),
-     (8, MQM, (1, 4, 7), 997, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1),
-     (9, MQM, (1, 2, 3, 6), 2_000, 3), (9, MQM, (1, 2, 3, 6), 5_000, 4)],
+    [(7, APPENDIX, range(5), 1_156, 4), (7, APPENDIX, range(5), 79, 2),
+     (8, MQM, (1, 4, 7), 829, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1),
+     (9, MQM, (1, 2, 3, 6), 1_223, 3), (9, MQM, (1, 2, 3, 6), 5_000, 4)],
     ids=_mode_id,
 )
 def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
     # the search tries t in ascending order, so a budget hit at t refutes
-    # every smaller t; searching with t_max = t - 1 confirms the refutation
+    # every smaller t; searching with t_max = t - 1 confirms the refutation.
+    # 1,156, 79, 829 and 1,223 are the largest budgets that stop at t: one
+    # node below the nodes that refute every t' <= t, or that find the scheme
     with pytest.raises(BudgetExceeded) as err:
         search_min_bandwidth(field(q), mode, set(servers), budget=budget)
     assert (err.value.budget, err.value.t) == (budget, t)
@@ -441,6 +455,140 @@ def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
     )
     if t:
         assert search_min_bandwidth(field(q), mode, set(servers), t_max=t - 1) is None
+
+
+@lru_cache(maxsize=None)
+def _evaluations(ctx, domain, points):
+    """Each in-domain message's evaluations at the points, and its product."""
+    dom = set(domain)
+    messages = [
+        (c0, c1) for c0 in ctx.elements for c1 in ctx.elements if ctx.mul(c0, c1) in dom
+    ]
+    evals = [[ctx.add(c0, ctx.mul(c1, a)) for a in points] for c0, c1 in messages]
+    return evals, [ctx.mul(c0, c1) for c0, c1 in messages]
+
+
+@lru_cache(maxsize=None)
+def _constraints_on(ctx, domain, points, support: frozenset) -> set:
+    """Brute force over the in-domain message pairs with different products:
+    the set of constraints on the support (point indices).  A constraint is
+    the set of options of one pair, the (point index, low value, high value)
+    triples where the pair's two evaluations differ, each encoded as one int."""
+    q = ctx.q
+    evals, products = _evaluations(ctx, domain, points)
+    return {
+        frozenset(
+            k * q * q + min(ex[k], ey[k]) * q + max(ex[k], ey[k])
+            for k in support
+            if ex[k] != ey[k]
+        )
+        for (ex, gx), (ey, gy) in itertools.combinations(zip(evals, products), 2)
+        if gx != gy
+    }
+
+
+def _carries_constraints(ctx, domain, points, perm, values) -> bool:
+    """Whether the point action maps the constraints on its support (the
+    points perm sends somewhere) onto the constraints on the support's
+    image, through a bijection of values at each point."""
+    q = ctx.q
+    support = [k for k, image in enumerate(perm) if image is not None]
+    if any(sorted(values[k]) != list(range(q)) for k in support):
+        return False
+    relabel = [0] * (len(perm) * q * q)
+    for k in support:
+        for u, v in itertools.combinations(range(q), 2):
+            x, y = values[k][u], values[k][v]
+            relabel[k * q * q + u * q + v] = perm[k] * q * q + min(x, y) * q + max(x, y)
+    source = _constraints_on(ctx, domain, points, frozenset(support))
+    target = _constraints_on(ctx, domain, points, frozenset(perm[k] for k in support))
+    return {frozenset(map(relabel.__getitem__, c)) for c in source} == target
+
+
+def _carries_messages(ctx, domain, points, perm, values) -> bool:
+    """A faster test that implies _carries_constraints, for a support of
+    two or more points, where the evaluations there fix the message: the
+    action sends each in-domain message's evaluations on the support to
+    those of a distinct in-domain message on the image, and every in-domain
+    pair has different products exactly when its image pair does."""
+    evals, products = _evaluations(ctx, domain, points)
+    support = [k for k, image in enumerate(perm) if image is not None]
+    owner = {tuple(e[perm[k]] for k in support): y for y, e in enumerate(evals)}
+    phi = [owner.get(tuple(values[k][e[k]] for k in support)) for e in evals]
+    if None in phi or len(set(phi)) != len(phi):
+        return False
+    return all(
+        (products[x] != products[y]) == (products[phi[x]] != products[phi[y]])
+        for x, y in itertools.combinations(range(len(evals)), 2)
+    )
+
+
+@pytest.mark.parametrize(
+    "q, mode, servers",
+    [(q, mode, None) for q in (2, 3, 4, 5, 7, 8, 9) for mode in (QM, APPENDIX, MQM)
+     if mode != MQM or q not in (2, 4)]
+    + [(7, APPENDIX, range(5)), (9, MQM, (1, 2, 6))],
+    ids=_mode_id,
+)
+def test_search_symmetries_carry_the_constraints_onto_themselves(q, mode, servers):
+    # every map the search uses, checked on the message pairs themselves: a
+    # map that does not keep the separation problem fails here even when it
+    # happens to leave every witness alone
+    ctx = field(q)
+    servers = frozenset(ctx.elements if servers is None else servers)
+    alphas = _separation_problem(ctx, mode, servers)[0]
+    domain = _mode_domain(ctx, mode)
+    symmetries = _symmetries(ctx, mode, alphas)
+    for perm, tables in symmetries:
+        carries = _carries_messages if len(perm) - perm.count(None) > 1 else _carries_constraints
+        for values in tables:
+            assert carries(ctx, domain, alphas, perm, values), (perm, values)
+            if values == tables[0]:  # the literal check too, once per point map
+                assert _carries_constraints(ctx, domain, alphas, perm, values), perm
+    # the value scalings (lam, lam) fix every point; binary Omega keeps lam = 1 only
+    scalings = [g for g in _message_maps(ctx, mode) if g == (g.lam, g.lam, False, 0)]
+    assert len(scalings) == (1 if mode == MQM and ctx.p == 2 else q - 1)
+    fixed = dict(symmetries)[tuple(range(len(alphas)))]
+    assert all(_point_action(ctx, g, alphas)[1] in fixed for g in scalings)
+
+
+def _refused(ctx, mode, g) -> bool:
+    """The map is not derived, and the brute force over every point of the
+    field confirms that it breaks the separation problem."""
+    points = tuple(ctx.elements)
+    action = _point_action(ctx, g, points)
+    return g not in _message_maps(ctx, mode) and not _carries_constraints(
+        ctx, _mode_domain(ctx, mode), points, *action
+    )
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_binary_omega_admits_no_frobenius_and_only_unit_products(q):
+    ctx = field(q)
+    maps = _message_maps(ctx, MQM)
+    assert {(ctx.mul(g.lam, g.nu), g.frob) for g in maps} == {(1, 0)}
+    assert _refused(ctx, MQM, _MessageMap(1, 1, False, 1))  # Frobenius
+    for s in range(2, q):
+        assert _refused(ctx, MQM, _MessageMap(s, 1, False, 0))
+
+
+def test_odd_mqm_admits_square_products_only():
+    ctx = field(7)
+    om = omega_set(ctx)
+    assert {ctx.mul(g.lam, g.nu) for g in _message_maps(ctx, MQM)} == set(om.elements)
+    assert _refused(ctx, MQM, _MessageMap(3, 1, False, 0))
+    # Frobenius keeps the squares of GF(9)
+    assert {g.frob for g in _message_maps(field(9), MQM)} == {0, 1}
+
+
+def test_the_swap_never_moves_server_0():
+    ctx = field(7)
+    alphas = tuple(ctx.elements)
+    for g in _message_maps(ctx, QM):
+        perm, _ = _point_action(ctx, g, alphas)
+        assert (perm[0] is None) == g.swap
+        if g.swap:  # elsewhere it sends alpha to lam / (nu * alpha)
+            assert all(perm[a] == ctx.div(g.lam, ctx.mul(g.nu, a)) for a in ctx.units)
 
 
 def _pick_by_scan(n: int, open_: int, viable):
