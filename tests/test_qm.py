@@ -436,16 +436,18 @@ def test_search_node_budget_boundaries(q, mode, servers, nodes):
 
 @pytest.mark.parametrize(
     "q, mode, servers, budget, t",
-    [(7, APPENDIX, range(5), 1_156, 4), (7, APPENDIX, range(5), 79, 2),
+    [(7, APPENDIX, range(4), 3_635, 4), (7, APPENDIX, range(5), 79, 2),
      (8, MQM, (1, 4, 7), 829, 4), (7, QM, range(7), 0, 0), (7, QM, range(7), 1, 1),
-     (9, MQM, (1, 2, 3, 6), 1_223, 3), (9, MQM, (1, 2, 3, 6), 5_000, 4)],
+     (9, MQM, (1, 2, 3, 6), 1_223, 3), (9, MQM, (1, 2, 3, 6), 5_000, 4),
+     (7, APPENDIX, range(5), 1_156, 4)],
     ids=_mode_id,
 )
 def test_budget_hit_carries_the_proven_lower_bound(q, mode, servers, budget, t):
     # the search tries t in ascending order, so a budget hit at t refutes
     # every smaller t; searching with t_max = t - 1 confirms the refutation.
     # 1,156, 79, 829 and 1,223 are the largest budgets that stop at t: one
-    # node below the nodes that refute every t' <= t, or that find the scheme
+    # node below the nodes that refute every t' <= t, or that find the scheme.
+    # On servers 0..3, every budget from 450 to 49,075 stops at t = 4
     with pytest.raises(BudgetExceeded) as err:
         search_min_bandwidth(field(q), mode, set(servers), budget=budget)
     assert (err.value.budget, err.value.t) == (budget, t)
