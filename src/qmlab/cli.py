@@ -723,14 +723,6 @@ class _Row(NamedTuple):
     build: Callable[[], tuple]
 
 
-def _run_row(row: _Row) -> dict:
-    try:
-        ok, fields = row.build()
-    except Exception as exc:  # one broken check must not abort the battery
-        ok, fields = False, {"error": f"{type(exc).__name__}: {exc}"}
-    return _check(row.name, ok, **{"q": row.q, **fields})
-
-
 def _sc_union_sizes(q: int) -> tuple:
     ctx = field(q)
     expected, _sizes, bad = _union_sizes(ctx, scaled_pair(ctx))
@@ -1063,16 +1055,14 @@ def _fixed_rows(qmax: int, seed: int) -> list:
     return [row for row in fixed if row.q <= qmax]
 
 
-def _suite_rows(qmax: int, seed: int) -> list:
-    """The battery in report order: the sweep, then the fixed rows."""
-    return _sweep_rows(qmax) + _fixed_rows(qmax, seed)
-
-
 def _timed_row(row: _Row) -> tuple:
     """(check, seconds): the row's check and its wall time."""
     start = time.perf_counter()
-    check = _run_row(row)
-    return check, time.perf_counter() - start
+    try:
+        ok, fields = row.build()
+    except Exception as exc:  # one broken check must not abort the battery
+        ok, fields = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return _check(row.name, ok, **{"q": row.q, **fields}), time.perf_counter() - start
 
 
 def _run_beside(sweep: list, fixed: list) -> list:
@@ -1169,7 +1159,7 @@ def _charsum_flags(sp) -> None:
 
 def _qm_verify_flags(sp) -> None:
     _scheme_flag(sp)
-    sp.add_argument("--domain", choices=("all", "nonzero", "omega"), default="nonzero")
+    sp.add_argument("--domain", choices=tuple(_DOMAIN_MODES), default="nonzero")
 
 
 def _qm_search_flags(sp) -> None:

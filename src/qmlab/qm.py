@@ -473,13 +473,13 @@ def search_min_bandwidth(
     easier to color, so a commit re-tests only the options still viable at
     the point that got the edge.  A graph is 2-colorable iff it has no odd
     cycle, so a 1-bit point tests from side labels (2 * component + side,
-    see _join_sides), and only edges between the two components a commit
-    joins can fail there.  With 4 or more colors a probe passes on the
-    max-degree bound, or on a certificate: a coloring of the committed graph,
-    found by an earlier probe, that colors the two ends apart or does so
-    once one end moves to a color its neighbors leave free (_recolor_end).
-    Only then is the graph colored.  Degrees, labels, viable masks and
-    certificates are restored on backtrack.
+    see _join_sides): an option there is colorable iff its ends have
+    different labels, and a commit that joins two components rescans the
+    point's options.  With 4 or more colors a probe passes on a certificate:
+    a coloring of the committed graph, found by an earlier probe, that
+    colors the two ends apart or does so once one end moves to a color its
+    neighbors leave free (_recolor_end).  Only then is the graph colored.
+    Labels, viable masks and certificates are restored on backtrack.
 
     Each symmetry class is searched once (see the module docstring).  A cap
     tuple is skipped when a map that sends its used points to queried points
@@ -541,7 +541,6 @@ def search_min_bandwidth(
 
     nodes = 0
     adj = [[0] * q for _ in alphas]
-    top = [0] * len(alphas)  # max degree of the committed graph at each point
     lab: list[list] = []  # side labels per point, read at 1-bit points
     certs: list[list] = []  # colorings of the committed graph per point, 4+ colors
     viable = [0] * len(alphas)  # constraints with a colorable option, per point
@@ -561,8 +560,6 @@ def search_min_bandwidth(
         for 4 <= colors < q.  A coloring found for uv colors the committed
         graph too, so it joins the certificates."""
         row = adj[ai]
-        if max(top[ai], row[u].bit_count() + 1, row[v].bit_count() + 1) < colors:
-            return True  # greedy coloring needs at most max degree + 1
         for known in certs[ai]:
             if known[u] != known[v]:
                 return True
@@ -602,28 +599,23 @@ def search_min_bandwidth(
             ai, u, v = edge
             colors = caps[ai]
             row = adj[ai]
-            saved = top[ai], viable[ai], lab[ai], certs[ai]
+            saved = viable[ai], lab[ai], certs[ai]
             row[u] |= 1 << v
             row[v] |= 1 << u
-            top[ai] = max(saved[0], row[u].bit_count(), row[v].bit_count())
             rest = open_ & ~holders[ai][u, v]
             if colors == 2:
-                old = saved[2]
-                side = lab[ai] = _join_sides(old, u, v)
-                if side is not old:
+                side = lab[ai] = _join_sides(saved[1], u, v)
+                if side is not saved[1]:
                     # a bipartite graph plus xy stays bipartite unless x and y
-                    # sit on one side of a component, so only x from u's old
-                    # component and y from v's can lose their edge
-                    xs = [x for x in range(q) if old[x] >> 1 == old[u] >> 1]
-                    ys = [y for y in range(q) if old[y] >> 1 == old[v] >> 1]
-                    for x in xs:
-                        for y in ys:
-                            if side[x] == side[y]:
-                                key = (x, y) if x < y else (y, x)
-                                viable[ai] &= ~holders[ai].get(key, 0)
+                    # share a label; the pairs that shared one before this
+                    # join were cleared when they first did, so a pass over
+                    # every option clears just those the join puts together
+                    for (x, y), held in holders[ai].items():
+                        if side[x] == side[y]:
+                            viable[ai] &= ~held
             elif colors < q:  # with q colors every graph on q vertices is colorable
-                certs[ai] = [known for known in saved[3] if known[u] != known[v]]
-                live, still = saved[1] & rest, 0
+                certs[ai] = [known for known in saved[2] if known[u] != known[v]]
+                live, still = saved[0] & rest, 0
                 for (x, y), held in holders[ai].items():
                     if held & live and colorable(ai, x, y, colors):
                         still |= held
@@ -632,7 +624,7 @@ def search_min_bandwidth(
                 return True
             row[u] ^= 1 << v
             row[v] ^= 1 << u
-            top[ai], viable[ai], lab[ai], certs[ai] = saved
+            viable[ai], lab[ai], certs[ai] = saved
             if open_ == everyone:  # a root branch: no solution splits u, v at ai
                 for perm, values in fixers:
                     x, y = values[ai][u], values[ai][v]
@@ -662,7 +654,6 @@ def search_min_bandwidth(
             for row in adj:
                 for v in range(q):
                     row[v] = 0
-            top[:] = [0] * len(alphas)
             lab[:] = [list(range(0, 2 * q, 2)) for _ in alphas]
             certs[:] = [[] for _ in alphas]
             # one edge is colorable with 2 or more colors, so all options are viable

@@ -18,7 +18,7 @@ import time
 from qmlab.charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
 from qmlab.galois import field, mask_from_hex, mask_of
 from qmlab.linleak import TraceQuery, linear_impossibility_check
-from qmlab.cli import _run_row, _suite_rows
+from qmlab.cli import _fixed_rows, _sweep_rows, _timed_row
 from qmlab.pqm import bandwidth_bound, mqm_to_pqm, play_game
 from qmlab.qm import LeakageScheme
 from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_sizes
@@ -57,8 +57,8 @@ def _scheme(q, schedule, hex_sets):
 
 def _suite_checks(*names):
     """The named suite rows, run as `suite` runs them."""
-    rows = {row.name: row for row in _suite_rows(16, 0)}
-    return [_run_row(rows[name]) for name in names]
+    rows = {row.name: row for row in _sweep_rows(16) + _fixed_rows(16, 0)}
+    return [_timed_row(rows[name])[0] for name in names]
 
 
 def test_criterion_01_gf7_five_bit_recovery():

@@ -172,10 +172,15 @@ def test_mul_matches_raw_polynomial_mul():
                 power = ctx._raw_mul(power, a)
             if a:
                 assert ctx.inv(a) == inv_ref[a] == ctx.pow(a, -1), (q, a)
+    # sampled above 64; past the table limit _raw_pow is both the code under
+    # test and the reference, so there the field identities are the check
+    # that can fail, on fewer samples as each inv is a square-and-multiply
     rng = random.Random(20261019)
-    for q in (243, 4096):
+    for q in (243, 4096, 2**13, 3**8, 5**6, 65537):
         ctx = field(q)
-        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400)]
+        tabled = ctx._exp is not None
+        assert tabled == (q <= _TABLE_LIMIT), q
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(400 if tabled else 100)]
         pairs += [(a, b) for a in (0, 1, q - 1) for b in (0, 1, q - 1)]
         for a, b in pairs:
             assert ctx.mul(a, b) == ctx._raw_mul(a, b), (q, a, b)
@@ -184,6 +189,12 @@ def test_mul_matches_raw_polynomial_mul():
                 inv_b = ctx._raw_pow(b, q - 2)
                 assert ctx.inv(b) == inv_b, (q, b)
                 assert ctx.div(a, b) == ctx._raw_mul(a, inv_b), (q, a, b)
+            if a and b:
+                assert ctx.mul(a, ctx.inv(a)) == 1, (q, a)
+                assert ctx.mul(ctx.div(a, b), b) == a, (q, a, b)
+                assert ctx.pow(a, q - 1) == 1, (q, a)
+        with pytest.raises(DivisionByZero):
+            ctx.pow(0, -1)
     with pytest.raises(DivisionByZero):
         field(64).div(0, 0)
 

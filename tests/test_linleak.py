@@ -259,9 +259,9 @@ def test_a_wrong_kernel_is_a_failed_check_on_odd_p(capsys, monkeypatch):
 def test_a_wrong_kernel_fails_the_suite_rows(monkeypatch):
     # GF(4) has tuples whose wrong kernel vector is zero: still a failed row
     _off_by_one_kernel(monkeypatch)
-    rows = {row.name: row for row in cli._suite_rows(8, 0)}
+    rows = {row.name: row for row in cli._sweep_rows(8) + cli._fixed_rows(8, 0)}
     for name in ("linleak-exhaustive-gf4", "linleak-seeded-gf8"):
-        check = cli._run_row(rows[name])
+        check = cli._timed_row(rows[name])[0]
         assert not check["pass"] and "error" not in check, check
 
 

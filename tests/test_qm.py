@@ -742,5 +742,22 @@ def test_search_budget_and_limits():
         search_min_bandwidth(field(7), "bogus", {1})
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: search_min_bandwidth(field(7), QM, {1, 7}), "servers must be field elements"),
+        (lambda: search_min_bandwidth(field(7), QM, {-1, 2}), "servers must be field elements"),
+        (lambda: transcript(gf7_appendix_scheme(), (1,)), "message must have 2 coefficients"),
+        (lambda: transcript(gf7_appendix_scheme(), (1, 1, 0)), "message must have 2 coefficients"),
+    ],
+    ids=["search-server-7", "search-server-minus-1", "transcript-short", "transcript-long"],
+)
+def test_library_preconditions_the_cli_checks_first(call, message):
+    # the CLI rejects these inputs before calling in, so only here do the
+    # library's own checks run
+    with pytest.raises(PreconditionViolated, match=f"^{message}$"):
+        call()
+
+
 def test_search_infeasible_within_tmax():
     assert search_min_bandwidth(field(7), MQM, {1, 2, 4}, t_max=2) is None

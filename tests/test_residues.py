@@ -260,9 +260,9 @@ def test_a_wrong_root_table_is_a_failed_check(capsys, shifted_roots_of_4):
     assert report["sqrt"] == {"1": 1, "2": 4, "4": 3}
     union = next(c for c in report["checks"] if c["name"] == "union-sizes")
     assert not union["pass"] and union["counterexample"] == {"2": 3}
-    rows = {row.name: row for row in cli._suite_rows(7, 0)}
+    rows = {row.name: row for row in cli._sweep_rows(7) + cli._fixed_rows(7, 0)}
     for name in ("union-sizes-gf7", "scalar-evolution-gf7"):
-        check = cli._run_row(rows[name])
+        check = cli._timed_row(rows[name])[0]
         assert not check["pass"] and "error" not in check and check["counterexample"], check
 
 
