@@ -294,8 +294,9 @@ def read_scheme(path: str) -> LeakageScheme:
 
 def _read_v_file(path: str, q: int | None) -> tuple:
     """(field, v_seq) from a JSON object holding a 'v_seq' list of element
-    lists; the field is the file's 'field' descriptor if it has one, else
-    GF(q).  A q given beside a descriptor must select the same field."""
+    lists, each returned as a q-bit mask; the field is the file's 'field'
+    descriptor if it has one, else GF(q).  A q given beside a descriptor
+    must select the same field."""
     obj = _load_json(path)
     if not isinstance(obj, dict) or "v_seq" not in obj:
         raise SchemaError(f"{path}: missing field 'v_seq'")
@@ -311,7 +312,7 @@ def _read_v_file(path: str, q: int | None) -> tuple:
             _is_int(x) and 0 <= x < ctx.q for x in entry
         ):
             raise SchemaError(f"{path}.v_seq[{idx}]: expected field elements")
-        v_seq.append(frozenset(entry))
+        v_seq.append(mask_of(entry))
     if q is not None and ctx != field(q):
         raise SchemaError(f"{path}: field descriptor differs from the selected field")
     return ctx, tuple(v_seq)
@@ -422,7 +423,7 @@ def _searched_gf7():
     """(t, scheme) of the minimum-bandwidth MQM search over GF(7), or None;
     searched once per process, since two suite checks read it."""
     ctx = field(7)
-    return search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
+    return search_min_bandwidth(ctx, MQM, omega_set(ctx))
 
 
 # ---------------------------------------------------------------- commands
@@ -440,12 +441,11 @@ def cmd_field(args) -> RunReport:
 
 def cmd_residues(args) -> RunReport:
     ctx = field(args.q)
-    om = omega_set(ctx)
     payload = {
         "field": ctx.descriptor(),
         "q": ctx.q,
         "regime": regime_of(ctx),
-        "omega": sorted(om.elements),
+        "omega": omega_set(ctx),
     }
     try:
         pair = scaled_pair(ctx)
@@ -535,7 +535,7 @@ def cmd_qm_search(args) -> RunReport:
         outside = sorted(a for a in servers if a not in om)
         if outside:
             listed = ", ".join(map(str, outside))
-            members = ", ".join(map(str, om.elements))
+            members = ", ".join(map(str, om))
             raise PreconditionViolated(
                 f"--servers {listed}: outside the restricted set {{{members}}} of"
                 f" GF({ctx.q}), the only points mqm mode queries"
@@ -582,7 +582,7 @@ def cmd_qm_convert(args) -> RunReport:
     payload = {
         "field": scheme.ctx.descriptor(),
         "q": scheme.ctx.q,
-        "v_seq": [sorted(v) for v in v_seq],
+        "v_seq": [mask_elems(v) for v in v_seq],
     }
     return RunReport("qm convert", payload, [])
 
@@ -881,7 +881,7 @@ def _sc_gf7_leak() -> tuple:
 def _sc_gf7_bucket_lines() -> tuple:
     ctx = field(7)
     lines = bucket(ctx, 1)
-    return len(lines) == 6 and all(l.m == ctx.inv(l.b) for l in lines), {"count": len(lines)}
+    return len(lines) == 6 and all(m == ctx.inv(b) for b, m in lines), {"count": len(lines)}
 
 
 def _sc_b11_gf5() -> tuple:
@@ -923,7 +923,7 @@ def _sc_bound_forms(qmax: int) -> tuple:
 
 def _replay_battery(scheme: LeakageScheme) -> tuple:
     """(all replays succeed, number of messages, largest terminal class)."""
-    messages = _domain_messages(scheme.ctx, omega_set(scheme.ctx).elements)
+    messages = _domain_messages(scheme.ctx, omega_set(scheme.ctx))
     ok, worst = True, 0
     for message, _ in messages:
         outcome, state = replay_transcript(scheme, message)
@@ -950,9 +950,8 @@ def _sc_appendix_search_gf7() -> tuple:
 
 def _sc_replay_gf8() -> tuple:
     ctx = field(8)
-    om = omega_set(ctx)
     scheme = LeakageScheme(
-        ctx, 2, 0, 1, frozenset(om.elements), (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2)
+        ctx, 2, 0, 1, omega_set(ctx), (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2)
     )
     replays_ok, count, worst = _replay_battery(scheme)
     ok = mqm_check(scheme) and replays_ok and count == 21 and worst <= 3

@@ -497,7 +497,14 @@ def mask_to_hex(mask: int, q: int) -> str:
     return format(mask, f"0{width}x")
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def mask_from_hex(text: str, q: int) -> int:
+    """The mask a string of ASCII hex digits spells; no prefix, sign,
+    underscore or whitespace."""
+    if not text or not _HEX_DIGITS.issuperset(text):
+        raise ValueError(f"mask {text!r} is not a string of hex digits")
     mask = int(text, 16)
     if mask >= (1 << q):
         raise ValueError(f"mask {text!r} has bits beyond the field size {q}")

@@ -2,9 +2,10 @@
 
 The decoder keeps one survivor class per restricted product gamma, all
 starting from the reference image B_1(1).  A round publishes an eliminator
-set V and a bit: bit 0 removes the rescaled eliminator (1/sqrt(gamma))*V
-from every class, bit 1 removes the rescaled complement of V in the units.
-Success means at most one class is left nonempty.
+V, a q-bit mask like every field subset here, and a bit: bit 0 removes the
+rescaled eliminator (1/sqrt(gamma))*V from every class, bit 1 removes the
+rescaled complement of V in the units.  Success means at most one class is
+left nonempty.
 
 Point x of class gamma lies in the rescaled V iff y = sqrt(gamma)*x is in
 V, and in the rescaled units-complement iff y is a unit outside V, so a
@@ -46,12 +47,11 @@ class PqmState(NamedTuple):
         return [g for g, m in sorted(self.classes.items()) if m]
 
 
-def _eliminator(ctx: FieldCtx, v_set) -> int:
-    """V as a q-bit mask, after checking its entries are field elements."""
-    v_set = frozenset(v_set)
-    if not all(0 <= x < ctx.q for x in v_set):
-        raise PreconditionViolated("eliminator entries must be field elements")
-    return mask_of(v_set)
+def _eliminator(ctx: FieldCtx, v_mask: int) -> int:
+    """V, after checking it is a q-bit mask."""
+    if not 0 <= v_mask < 1 << ctx.q:
+        raise PreconditionViolated("each eliminator must be a q-bit mask")
+    return v_mask
 
 
 def _keep(alive: int, v_mask: int, bit: int) -> int:
@@ -75,7 +75,7 @@ def _total(images: dict, alive: int) -> int:
 
 
 def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
-    """Replay a transcript against the eliminator sequence.
+    """Replay a transcript against the eliminator sequence of q-bit masks.
 
     Returns (outcome, final state); the outcome is success exactly when at
     most one class survives.  Class gamma's final x-mask is
@@ -89,8 +89,8 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
     images = _class_images(ctx)
     alive = mask_full(ctx.q)
     history = [_total(images, alive)]
-    for v_set, bit in zip(v_seq, bits):
-        alive = _keep(alive, _eliminator(ctx, v_set), bit)
+    for v_mask, bit in zip(v_seq, bits):
+        alive = _keep(alive, _eliminator(ctx, v_mask), bit)
         history.append(_total(images, alive))
     classes = {
         g: scale_mask(ctx, ctx.inv(root[g]), image & alive)
@@ -102,7 +102,7 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
 
 
 def mqm_to_pqm(scheme: LeakageScheme) -> tuple:
-    """Translate a restricted-regime scheme into one eliminator per query.
+    """Translate a restricted-regime scheme into one eliminator mask per query.
 
     Validation is structural only (schedule inside the restricted set); a
     scheme with tampered sets still translates, it just loses the success
@@ -125,11 +125,11 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     Each leaked bit tells the line decoder which side of the query set to
     discard: bit 0 keeps the lines that land inside T (discards the rest),
     bit 1 keeps the ones outside.  The pruning replay mirrors that choice
-    set-for-set, removing the converted eliminator of whichever side was
-    discarded -- the eliminator of T when the in-T lines go, the eliminator
-    of the complement of T when the out-of-T lines go.  Removing an explicit
-    set is the bit-0 branch of the pruning round, so the replay feeds
-    constant zero bits.
+    side for side, removing the converted eliminator mask of whichever side
+    was discarded -- the eliminator of T when the in-T lines go, the
+    eliminator of the complement of T when the out-of-T lines go.  Removing
+    an explicit mask is the bit-0 branch of the pruning round, so the replay
+    feeds constant zero bits.
 
     Every discarded line's reference point lies inside the converted image
     of the discarded side, so once the line decoder has killed a whole
@@ -175,7 +175,7 @@ def bandwidth_bound(ctx: FieldCtx) -> BoundReport:
 
 def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
     """Per-game eliminator generator for the named strategy; it is called
-    with the surviving y-mask and the round index."""
+    with the surviving y-mask and the round index and returns a q-bit mask."""
     if strategy == "greedy-halving":
         # weight of u = surviving points the bit-0 branch would drop: the
         # cluster size #{gamma : u in I_gamma} while u is alive, 0 after;
@@ -188,21 +188,21 @@ def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
         def emit(alive: int, _round: int):
             weight = [c if alive >> u & 1 else 0 for u, c in enumerate(cluster)]
             side_v, side_rest = 0, 0
-            v = set()
+            v = 0
             for u in sorted(range(ctx.q), key=lambda u: (-weight[u], u)):
                 if side_v <= side_rest:
-                    v.add(u)
+                    v |= 1 << u
                     side_v += weight[u]
                 elif u != 0:
                     side_rest += weight[u]
-            return frozenset(v)
+            return v
 
         return emit
     if strategy == "random-set":
         rng = random.Random(seed)
 
         def emit(_alive: int, _round: int):
-            return frozenset(u for u in range(ctx.q) if rng.getrandbits(1))
+            return mask_of(u for u in range(ctx.q) if rng.getrandbits(1))
 
         return emit
     if strategy == "replay":
@@ -224,9 +224,10 @@ def play_game(
     keeping the most survivors (ties: bit 0, logged).  The game advances one
     surviving y-mask: a round's branches are alive & ~V and alive & (V | {0}),
     and a branch holds sum over gamma of |I_gamma & branch| survivors.
-    The cap is max_rounds, by default 4 * e * ceil(log2 p); v_seq feeds the
-    replay strategy.  Returns the full game record; rounds is math.inf when
-    the cap or an exhausted replay sequence stops the game first."""
+    The cap is max_rounds, by default 4 * e * ceil(log2 p); v_seq, a
+    sequence of q-bit masks, feeds the replay strategy.  Returns the full
+    game record; rounds is math.inf when the cap or an exhausted replay
+    sequence stops the game first."""
     images = _class_images(ctx)
     emit = _alice(ctx, strategy, seed, v_seq, images)
     alive = mask_full(ctx.q)
@@ -239,10 +240,10 @@ def play_game(
         left = [g for g, image in images.items() if image & alive]
         if len(left) <= 1 or played >= max_rounds:
             break
-        v_set = emit(alive, played)
-        if v_set is None:
+        v_mask = emit(alive, played)
+        if v_mask is None:
             break
-        v_mask = _eliminator(ctx, v_set)
+        _eliminator(ctx, v_mask)
         branches = [_keep(alive, v_mask, bit) for bit in (0, 1)]
         sizes = [_total(images, branch) for branch in branches]
         bit = 0 if sizes[0] >= sizes[1] else 1

@@ -47,7 +47,7 @@ from .errors import (
 )
 from .galois import FieldCtx
 from .residues import build_sqrt_system, omega_set
-from .rscode import bucket, line_eval
+from .rscode import bucket
 
 QM = "qm"
 MQM = "mqm"
@@ -126,9 +126,9 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
     """Replay a transcript against every candidate product bucket.
 
     Keeps, per product gamma in the domain (default: the whole field), the
-    lines consistent with each bit: bit 0 keeps lines evaluating into T, bit
-    1 keeps the rest.  Exactly one surviving bucket is a success, none is an
-    invalid transcript, more than one is a failure.
+    lines (b, m) consistent with each bit: bit 0 keeps lines evaluating into
+    T, bit 1 keeps the rest.  Exactly one surviving bucket is a success,
+    none is an invalid transcript, more than one is a failure.
     """
     bits = tuple(bits)
     if len(bits) != scheme.t:
@@ -142,7 +142,7 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
             survivors[g] = [
                 line
                 for line in survivors[g]
-                if (((t_mask >> line_eval(ctx, line, a)) & 1) == 1) == keep_inside
+                if (((t_mask >> ctx.poly_eval(line, a)) & 1) == 1) == keep_inside
             ]
     alive = [g for g in domain if survivors[g]]
     if len(alive) == 1:
@@ -199,13 +199,13 @@ def mqm_check(scheme: LeakageScheme) -> bool:
     om = omega_set(scheme.ctx)
     if not all(a in om for a in scheme.schedule):
         return False
-    return verify_scheme(scheme, om.elements)
+    return verify_scheme(scheme, om)
 
 
-def convert_eliminator(ctx: FieldCtx, t_mask: int, alpha: int) -> frozenset:
+def convert_eliminator(ctx: FieldCtx, t_mask: int, alpha: int) -> int:
     """Translate a leakage set at alpha into an eliminator V at the reference
-    point: V collects sqrt(gamma)*(m + 1/m) over every product-gamma line
-    whose evaluation at alpha lands in the set.
+    point, a q-bit mask: V collects sqrt(gamma)*(m + 1/m) over every
+    product-gamma line whose evaluation at alpha lands in the set.
 
     By the relabel identity this equals (1/sqrt(alpha)) times the evaluations
     at alpha of the relabelled qualifying lines, so a line h with
@@ -215,13 +215,13 @@ def convert_eliminator(ctx: FieldCtx, t_mask: int, alpha: int) -> frozenset:
     root = build_sqrt_system(ctx)
     if alpha not in root:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
-    out = set()
+    out = 0
     for r in root.values():
         for m in ctx.units:
             value_at_alpha = ctx.mul(r, ctx.add(ctx.div(alpha, m), m))
             if (t_mask >> value_at_alpha) & 1:
-                out.add(ctx.mul(r, ctx.add(m, ctx.inv(m))))
-    return frozenset(out)
+                out |= 1 << ctx.mul(r, ctx.add(m, ctx.inv(m)))
+    return out
 
 
 _SEARCH_Q_LIMIT = 11
@@ -233,7 +233,7 @@ def _mode_domain(ctx: FieldCtx, mode: str):
     if mode == APPENDIX:
         return tuple(ctx.units)
     if mode == MQM:
-        return omega_set(ctx).elements
+        return omega_set(ctx)
     raise PreconditionViolated(f"unknown search mode {mode!r}")
 
 

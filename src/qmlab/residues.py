@@ -32,30 +32,20 @@ P1MOD4_OR_E_EVEN = "P1MOD4_OR_E_EVEN"
 BINARY = "BINARY"
 
 
-class OmegaSet:
-    """The sorted members of Omega_q, with a membership test."""
-
-    def __init__(self, elements: tuple):
-        self.elements = elements
-        self.member_set = frozenset(elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.member_set
-
-
 @lru_cache(maxsize=None)
 def _qr_set(ctx: FieldCtx) -> frozenset:
     return frozenset(ctx.mul(x, x) for x in ctx.units)
 
 
 @lru_cache(maxsize=None)
-def omega_set(ctx: FieldCtx) -> OmegaSet:
+def omega_set(ctx: FieldCtx) -> tuple:
+    """The members of Omega_q in ascending order."""
     if ctx.q in (2, 4):
         raise UnsupportedField(f"no restricted set over GF({ctx.q})")
     if ctx.p > 2:
         elems = tuple(sorted(_qr_set(ctx)))
         assert len(elems) == (ctx.q - 1) // 2
-        return OmegaSet(elems)
+        return elems
     w = find_primitive_zero_inv_trace(ctx)
     elems = set()
     x = 1
@@ -64,7 +54,7 @@ def omega_set(ctx: FieldCtx) -> OmegaSet:
         elems.add(x)
         x = ctx.mul(x, w2)
     assert len(elems) == 2 ** (ctx.e - 1) - 1
-    return OmegaSet(tuple(sorted(elems)))
+    return tuple(sorted(elems))
 
 
 def quadratic_character(ctx: FieldCtx, x: int) -> int:
@@ -120,7 +110,7 @@ def build_sqrt_system(ctx: FieldCtx) -> dict:
     # the smallest root that is a square, else the smallest outside Upsilon
     return {
         g: min(roots[g], key=lambda x: (x not in qr, x in upsilon))
-        for g in omega_set(ctx).elements
+        for g in omega_set(ctx)
     }
 
 

@@ -1,10 +1,11 @@
 """Degree-1 message polynomials, product buckets, and their evaluation images.
 
-A line is the pair (m, b) for f(x) = m*x + b with the product m*b cached;
-the gamma-bucket collects every line whose coefficient product is gamma, and
-its evaluation image at alpha is {f(alpha) : f in bucket}.  Images are kept
-as q-bit masks (bit i set iff element encoding i is hit) because the pruning
-loops downstream live on set-minus and equality.
+A line is the message tuple (b, m) of f(x) = b + m*x, constant first, as
+`FieldCtx.poly_eval` reads it; the gamma-bucket collects every line whose
+coefficient product b*m is gamma, and its evaluation image at alpha is
+{f(alpha) : f in bucket}.  Images are kept as q-bit masks (bit i set iff
+element encoding i is hit) because the pruning loops downstream live on
+set-minus and equality.
 
 The canonical parametrized form of a product-gamma line is
 sqrt(gamma) * ((1/m)x + m); its alpha-relabel divides the slope by
@@ -37,41 +38,25 @@ reference image once, its rescaling once per root product, every pair once.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, add_elems, mask_elems, mask_full, mask_of, scale_elems, scale_mask
-from .residues import b11, build_sqrt_system  # noqa: F401 (b11 re-export)
+from .residues import build_sqrt_system
 
 _BUCKET_LIMIT = 2**10
 
 
-class Line(NamedTuple):
-    m: int  # degree-1 coefficient
-    b: int  # constant coefficient
-    product: int
-
-
-def make_line(ctx: FieldCtx, m: int, b: int) -> Line:
-    return Line(m, b, ctx.mul(m, b))
-
-
-def line_eval(ctx: FieldCtx, line: Line, alpha: int) -> int:
-    return ctx.add(ctx.mul(line.m, alpha), line.b)
-
-
 @lru_cache(maxsize=None)
 def bucket(ctx: FieldCtx, gamma: int) -> frozenset:
-    """The lines whose coefficient product is gamma."""
+    """The lines (b, m) whose coefficient product b*m is gamma."""
     if ctx.q > _BUCKET_LIMIT:
         raise UnsupportedField(f"bucket enumeration capped at q <= {_BUCKET_LIMIT}")
     if gamma == 0:
-        lines = {make_line(ctx, m, 0) for m in ctx.elements}
-        lines |= {make_line(ctx, 0, b) for b in ctx.elements}
+        lines = {(0, m) for m in ctx.elements} | {(b, 0) for b in ctx.elements}
         assert len(lines) == 2 * ctx.q - 1
     else:
-        lines = {make_line(ctx, m, ctx.div(gamma, m)) for m in ctx.units}
-        assert sorted(l.m for l in lines) == list(ctx.units)
+        lines = {(ctx.div(gamma, m), m) for m in ctx.units}
+        assert sorted(m for _, m in lines) == list(ctx.units)
     return frozenset(lines)
 
 
@@ -127,18 +112,21 @@ def bucket_eval(ctx: FieldCtx, gamma: int, alpha: int) -> int:
     return _scaled_image(ctx, (log[gamma] + log[alpha]) % (ctx.q - 1))
 
 
-def relabel(ctx: FieldCtx, line: Line, alpha: int) -> Line:
-    """Move the line's parameter from m to m*sqrt(alpha) within its bucket."""
+def relabel(ctx: FieldCtx, line: tuple, alpha: int) -> tuple:
+    """Move the line (b, m) within its bucket: the slope divides by
+    sqrt(alpha) and the constant multiplies by it."""
+    b, m = line
     root = build_sqrt_system(ctx)
-    if line.product not in root:
-        raise RegimeMismatch(f"line product {line.product} outside the restricted set")
+    product = ctx.mul(b, m)
+    if product not in root:
+        raise RegimeMismatch(f"line product {product} outside the restricted set")
     if alpha not in root:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
-    if line.m == 0:
+    if m == 0:
         raise PreconditionViolated("relabel needs a nonzero slope")
     r = root[alpha]
-    out = make_line(ctx, ctx.div(line.m, r), ctx.mul(line.b, r))
-    assert out.product == line.product
+    out = ctx.mul(b, r), ctx.div(m, r)
+    assert ctx.mul(*out) == product
     return out
 
 

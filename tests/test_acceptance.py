@@ -21,8 +21,9 @@ from qmlab.linleak import TraceQuery, linear_impossibility_check
 from qmlab.cli import _fixed_rows, _sweep_rows, _timed_row
 from qmlab.pqm import bandwidth_bound, mqm_to_pqm, play_game
 from qmlab.qm import LeakageScheme
-from qmlab.residues import omega_set, quadratic_character, scaled_pair, scaled_pair_union_sizes
-from qmlab.rscode import _enumerated_image, b11, bucket_eval, scalar_evolution
+from qmlab.residues import b11, omega_set, quadratic_character, scaled_pair
+from qmlab.residues import scaled_pair_union_sizes
+from qmlab.rscode import _enumerated_image, bucket_eval, scalar_evolution
 from qmlab.shamir7 import download_cost, figure1_table, one_bit_leak, verify_gf7
 
 
@@ -50,7 +51,7 @@ def _line(num, desc, ok, budget=None, took=None, why=""):
 def _scheme(q, schedule, hex_sets):
     ctx = field(q)
     return LeakageScheme(
-        ctx, 2, 0, 1, frozenset(omega_set(ctx).elements), schedule,
+        ctx, 2, 0, 1, omega_set(ctx), schedule,
         tuple(mask_from_hex(h, q) for h in hex_sets),
     )
 
@@ -100,7 +101,7 @@ def test_criterion_04_scaled_pair_unions():
         ctx = field(q)
         want = q - 3 if ctx.p > 2 else q - 4
         sizes = scaled_pair_union_sizes(ctx, scaled_pair(ctx))
-        ok = ok and set(sizes) == set(omega_set(ctx).elements) and set(sizes.values()) == {want}
+        ok = ok and set(sizes) == set(omega_set(ctx)) and set(sizes.values()) == {want}
     _line(4, "scaled-pair unions hit q-3 (odd) / q-4 (binary) on all fields",
           ok, budget=30.0, took=time.perf_counter() - t0)
 
@@ -117,8 +118,8 @@ def test_criterion_05_scalar_evolution():
         ctx = field(q)
         om = omega_set(ctx)
         ok = ok and scalar_evolution(ctx) is None
-        for g in om.elements:
-            for a in om.elements:
+        for g in om:
+            for a in om:
                 ok = ok and bucket_eval(ctx, g, a) == _enumerated_image(ctx, g, a)
     _line(5, "every image is the root-scaled base image on supported fields",
           ok, budget=30.0, took=time.perf_counter() - t0)

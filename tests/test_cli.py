@@ -15,7 +15,7 @@ from qmlab import cli, rscode
 from qmlab.cli import canonical_json, cmd_dispatch, read_scheme, scheme_from_obj, scheme_to_obj
 from qmlab.errors import SchemaError
 from qmlab.galois import field
-from qmlab.pqm import mqm_to_pqm, run_pqm
+from qmlab.pqm import BoundReport, mqm_to_pqm, run_pqm
 from qmlab.qm import transcript
 from qmlab.shamir7 import gf7_scheme
 
@@ -535,6 +535,11 @@ def test_pqm_run_rejects_malformed_v_file(capsys, tmp_path):
     path.write_text(json.dumps({"v_seq": [[0, 1], [99]]}))
     assert cmd_dispatch(["pqm", "run", "--v-file", str(path), "--transcript", "0,1", "--q", "7"]) == 2
     assert "v_seq[1]" in capsys.readouterr().err
+    for doc in ({}, [[0, 1], [2]]):  # no v_seq key, and no object at all
+        path.write_text(json.dumps(doc))
+        argv = ["pqm", "run", "--v-file", str(path), "--transcript", "0,1", "--q", "7"]
+        assert cmd_dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: missing field 'v_seq'\n"
 
 
 def test_pqm_run_rejects_json_booleans(capsys, tmp_path):
@@ -618,6 +623,22 @@ def test_scheme_errors_name_the_entry_and_its_value(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {path}.{key}[{idx}]: {reason}\n"
+
+
+@pytest.mark.parametrize(
+    "text", ["0x25", "0X25", " 25 ", " +43\n", "2_5", "+25", "-0", "\u0663", "2\u0665", ""]
+)
+def test_scheme_sets_accept_only_hex_digits(capsys, tmp_path, text):
+    # int(text, 16) would take prefixes, signs, underscores, whitespace and
+    # non-ASCII digits; a mask is ASCII hex digits and nothing else
+    path = tmp_path / "scheme.json"
+    obj = scheme_to_obj(gf7_scheme())
+    obj["sets"][1] = text
+    path.write_text(json.dumps(obj))
+    assert cmd_dispatch(["qm", "verify", "--scheme", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}.sets[1]: mask {text!r} is not a string of hex digits\n"
 
 
 def test_game_rejects_malformed_v_file(capsys, tmp_path):
@@ -1000,6 +1021,51 @@ def test_suite_records_unexpected_exception_as_failed_check(capsys, monkeypatch)
     assert [c["name"] for c in report["checks"]] == [c["name"] for c in clean["checks"]]
     rest = [c for c in report["checks"] if c["name"] != "regime-rejections-gf4"]
     assert rest == [c for c in clean["checks"] if c["name"] != "regime-rejections-gf4"]
+
+
+_REAL_BUCKET_EVAL = cli.bucket_eval
+_BOUND_BAD = {f"real q={q}": 0.0 for q in (4, 5)}
+_BOUND_BAD.update({f"integer q={q}": 0 for q in (7, 8, 9, 11, 13, 16)})
+
+
+def _tampered_image(ctx, gamma, alpha):
+    """bucket_eval with element 0 toggled in the GF(7) cell at point 3, product 5."""
+    return _REAL_BUCKET_EVAL(ctx, gamma, alpha) ^ ((ctx.q, alpha, gamma) == (7, 3, 5))
+
+
+@pytest.mark.parametrize(
+    "row, attr, fake, fields",
+    [
+        pytest.param("artin-schreier-gf8", "artin_schreier_solvable",
+                     lambda ctx, c: (False, None),
+                     {"counterexample": {"c": 0, "trace": 0, "roots": [0, 1]}},
+                     id="artin-schreier-verdict"),
+        pytest.param("artin-schreier-gf8", "artin_schreier_solvable",
+                     lambda ctx, c: (ctx.trace(c) == 0, 2),
+                     {"counterexample": {"c": 0, "root": 2}}, id="artin-schreier-root"),
+        pytest.param("regime-rejections-gf4", "build_sqrt_system", lambda ctx: {},
+                     {"counterexample": ["sqrt-system"]}, id="gf4-rejections"),
+        pytest.param("pair-absent-gf5", "scaled_pair", lambda ctx: None,
+                     {"b11": [0, 2, 3]}, id="gf5-pair-absent"),
+        pytest.param("gf7-truncations-fail", "verify_scheme", lambda scheme, domain: True,
+                     {"counterexample": [0, 1, 2, 3, 4]}, id="gf7-truncations"),
+        pytest.param("bound-closed-forms", "bandwidth_bound", lambda ctx: BoundReport(0.0, 0),
+                     {"q": 16, "counterexample": _BOUND_BAD}, id="bound-forms"),
+        pytest.param("gf7-figure1-golden", "bucket_eval", _tampered_image,
+                     {"counterexample": [[3, 5]]}, id="figure1-mismatch"),
+        pytest.param("pipeline-gf7", "search_min_bandwidth", lambda *args, **kwargs: None,
+                     {"error": "search found nothing"}, id="pipeline-gf7"),
+    ],
+)
+def test_each_fixed_suite_row_can_fail(request, monkeypatch, row, attr, fake, fields):
+    # a row is a check only if its failure branch runs: break the one name
+    # the row reads through qmlab.cli and the row must report its witness
+    request.addfinalizer(cli._searched_gf7.cache_clear)
+    cli._searched_gf7.cache_clear()  # pipeline-gf7 reads the search through this cache
+    monkeypatch.setattr(cli, attr, fake)
+    rows = {r.name: r for r in cli._sweep_rows(16) + cli._fixed_rows(16, 0)}
+    check = json.loads(canonical_json(cli._timed_row(rows[row])[0]))
+    assert check == {"name": row, "pass": False, "q": rows[row].q, **fields}
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "7"])

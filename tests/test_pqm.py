@@ -4,7 +4,7 @@ import random
 import pytest
 
 from qmlab.errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from qmlab.galois import field, mask_of
+from qmlab.galois import field, mask_elems, mask_of
 from qmlab.pqm import (
     BoundReport,
     bandwidth_bound,
@@ -14,12 +14,11 @@ from qmlab.pqm import (
     run_pqm,
 )
 from qmlab.qm import FAIL, MQM, SUCCESS, LeakageScheme, mqm_check, search_min_bandwidth
-from qmlab.residues import build_sqrt_system, omega_set
-from qmlab.rscode import b11
+from qmlab.residues import b11, build_sqrt_system, omega_set
 
 
 def restricted_messages(ctx):
-    om = omega_set(ctx).elements
+    om = omega_set(ctx)
     return [
         (c0, c1) for c0 in ctx.units for c1 in ctx.units if ctx.mul(c0, c1) in om
     ]
@@ -47,7 +46,7 @@ def gf9_witness():
 def start_classes(ctx):
     """The decoder's start state, built directly: B_1(1) in every class."""
     ref = mask_of(b11(ctx))
-    return {g: ref for g in omega_set(ctx).elements}
+    return {g: ref for g in omega_set(ctx)}
 
 
 def test_initial_state_is_reference_image_per_class():
@@ -63,14 +62,14 @@ def test_initial_state_is_reference_image_per_class():
 def test_round_validates_inputs():
     ctx = field(7)
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx, ({7},), (0,))
+        run_pqm(ctx, (1 << 7,), (0,))
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx, ({1},), (2,))
+        run_pqm(ctx, (mask_of({1}),), (2,))
 
 
 def test_round_shrinks_and_bit1_never_drops_zero():
     ctx = field(9)  # reference image contains 0 here
-    v_seq = ({1, 4, 8}, {0, 2}, set())
+    v_seq = (mask_of({1, 4, 8}), mask_of({0, 2}), 0)
     _, state = run_pqm(ctx, (), ())
     assert all(mask & 1 for mask in state.classes.values())
     for n in range(1, len(v_seq) + 1):
@@ -107,7 +106,7 @@ def test_round_matches_scaled_eliminator_reference():
             v_sets += [v | {0}, v - {0}]
         for v_set in v_sets:
             for bit in (0, 1):
-                _, got = run_pqm(ctx, (v_set,), (bit,))
+                _, got = run_pqm(ctx, (mask_of(v_set),), (bit,))
                 want = reference_round(ctx, root, start, v_set, bit)
                 assert got.classes == want, (q, sorted(v_set), bit)
                 assert got.rounds == 1
@@ -128,7 +127,7 @@ def reference_game(ctx, strategy, seed, max_rounds=None, v_seq=()):
         if strategy == "replay":
             if played == len(v_seq):
                 break
-            v_set = v_seq[played]
+            v_set = mask_elems(v_seq[played])
         elif strategy == "greedy-halving":
             weight = {}
             for u in range(ctx.q):
@@ -172,7 +171,7 @@ def test_game_matches_three_call_reference():
     for q in REFERENCE_Q:
         ctx = field(q)
         rng = random.Random(q)
-        v_long = tuple(frozenset(u for u in range(q) if rng.getrandbits(1)) for _ in range(40))
+        v_long = tuple(mask_of(u for u in range(q) if rng.getrandbits(1)) for _ in range(40))
         runs = [("greedy-halving", 0, None, ())] + [("random-set", s, None, ()) for s in range(5)]
         # round caps, including 0, which the API accepts
         runs += [("greedy-halving", 0, cap, ()) for cap in (0, 1, 3)]
@@ -200,7 +199,7 @@ def test_run_pqm_matches_round_by_round_reference():
             for v_set, bit in zip(v_seq, bits):
                 classes = reference_round(ctx, root, classes, v_set, bit)
                 history.append(sum(m.bit_count() for m in classes.values()))
-            outcome, state = run_pqm(ctx, v_seq, bits)
+            outcome, state = run_pqm(ctx, [mask_of(v) for v in v_seq], bits)
             assert state.classes == classes and list(state.classes) == list(classes)
             assert state.history == tuple(history) and state.rounds == n
             left = sum(1 for m in classes.values() if m)
@@ -217,7 +216,7 @@ def test_run_pqm_trivial_cases():
     assert out == FAIL and state.nonempty() == [1, 2, 4]
 
     with pytest.raises(PreconditionViolated):
-        run_pqm(ctx7, ({1},), (0, 1))
+        run_pqm(ctx7, (mask_of({1}),), (0, 1))
 
 
 # ---------------------------------------------------------------- translation
@@ -241,7 +240,7 @@ def test_translation_of_the_gf7_witness():
     assert mqm_check(w)
     v_seq = mqm_to_pqm(w)
     assert len(v_seq) == 3
-    assert v_seq[0] == frozenset({2, 3, 4, 5})
+    assert v_seq[0] == mask_of({2, 3, 4, 5})
 
 
 def test_empty_scheme_translates_to_empty_success():
@@ -277,7 +276,7 @@ def test_gf9_witness_succeeds_on_every_transcript():
 def test_searched_schemes_replay_end_to_end():
     for q, cap in ((7, 2), (8, 3)):
         ctx = field(q)
-        _, scheme = search_min_bandwidth(ctx, MQM, omega_set(ctx).elements)
+        _, scheme = search_min_bandwidth(ctx, MQM, omega_set(ctx))
         exhaustive_replay(scheme, size_cap=cap)
 
 
@@ -322,11 +321,11 @@ def test_bound_table():
 def test_integer_bound_counts_initial_survivors():
     # |Omega| * |B_1(1)| start points; GF(5) has no square-root system, so
     # the count comes from the sets themselves, not from a replay
-    assert len(omega_set(field(5)).elements) * len(b11(field(5))) == 6
+    assert len(omega_set(field(5))) * len(b11(field(5))) == 6
     for q in (3, 5, 7, 8, 9, 11, 13, 16):
         ctx = field(q)
         report = bandwidth_bound(ctx)
-        total = len(omega_set(ctx).elements) * len(b11(ctx))
+        total = len(omega_set(ctx)) * len(b11(ctx))
         correction = 1 if ctx.p > 2 else 2
         assert report.integer_round_bound == (max(total, 1) - 1).bit_length() - correction
 

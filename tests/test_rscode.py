@@ -10,45 +10,37 @@ import pytest
 from qmlab import cli, rscode
 from qmlab.errors import RegimeMismatch, UnsupportedField
 from qmlab.galois import field, mask_full, mask_of, prime_power, scale_mask
-from qmlab.residues import build_sqrt_system, omega_set
-from qmlab.rscode import (
-    _enumerated_image,
-    b11,
-    bucket,
-    bucket_eval,
-    line_eval,
-    make_line,
-    relabel,
-    scalar_evolution,
-)
+from qmlab.residues import b11, build_sqrt_system, omega_set
+from qmlab.rscode import _enumerated_image, bucket, bucket_eval, relabel, scalar_evolution
 
 SUPPORTED_Q = [3, 7, 8, 9, 11, 13, 16, 25, 27, 32, 49, 64]
 
 
-def test_make_line_product():
+def test_line_tuple_product_and_eval():
     ctx = field(7)
-    line = make_line(ctx, 3, 5)
-    assert (line.m, line.b, line.product) == (3, 5, 1)
-    assert line_eval(ctx, line, 2) == ctx.add(6, 5)
+    line = (5, 3)  # f(x) = 5 + 3x
+    assert ctx.mul(*line) == 1
+    assert ctx.poly_eval(line, 2) == ctx.add(6, 5)
 
 
 def test_bucket_gf7_unit():
     ctx = field(7)
     got = bucket(ctx, 1)
-    want = {make_line(ctx, ctx.inv(m), m) for m in ctx.units}
+    want = {(m, ctx.inv(m)) for m in ctx.units}
     assert got == want
     assert len(got) == 6
 
 
 def test_bucket_gf3():
     ctx = field(3)
-    assert bucket(ctx, 1) == {make_line(ctx, 1, 1), make_line(ctx, 2, 2)}
+    assert bucket(ctx, 1) == {(1, 1), (2, 2)}
 
 
 def test_bucket_zero_gf7():
-    lines = bucket(field(7), 0)
+    ctx = field(7)
+    lines = bucket(ctx, 0)
     assert len(lines) == 13
-    assert all(l.product == 0 for l in lines)
+    assert all(ctx.mul(b, m) == 0 for b, m in lines)
 
 
 def test_bucket_invariants():
@@ -57,8 +49,8 @@ def test_bucket_invariants():
         for g in ctx.units:
             lines = bucket(ctx, g)
             assert len(lines) == q - 1
-            assert {l.m for l in lines} == set(ctx.units)
-            assert all(l.product == g for l in lines)
+            assert {m for _, m in lines} == set(ctx.units)
+            assert all(ctx.mul(b, m) == g for b, m in lines)
 
 
 def test_bucket_eval_figure_rows():
@@ -96,7 +88,7 @@ def test_bucket_eval_matches_enumeration_on_large_fields(q):
 
 
 def _line_by_line(ctx, gamma, alpha):
-    return mask_of(line_eval(ctx, line, alpha) for line in bucket(ctx, gamma))
+    return mask_of(ctx.poly_eval(line, alpha) for line in bucket(ctx, gamma))
 
 
 def test_enumerated_image_matches_line_by_line_on_every_pair():
@@ -142,6 +134,11 @@ def test_enumerated_image_never_reads_the_scaling_law(monkeypatch):
 def test_bucket_eval_keeps_the_field_size_cap(gamma, alpha):
     with pytest.raises(UnsupportedField, match="capped at q <= 1024"):
         bucket_eval(field(2048), gamma, alpha)
+    # GF(1031), the first prime past the cap, still has exp/log tables
+    with pytest.raises(UnsupportedField, match="capped at q <= 1024"):
+        bucket(field(1031), gamma)
+    with pytest.raises(UnsupportedField, match="capped at q <= 1024"):
+        _enumerated_image(field(1031), gamma, alpha)
 
 
 def test_b11_frozen():
@@ -171,7 +168,7 @@ def test_b11_equals_bucket_eval():
 def _h_line(ctx, root, gamma, m):
     """sqrt(gamma) * ((1/m)x + m), the canonical product-gamma line with parameter m."""
     r = root[gamma]
-    return make_line(ctx, ctx.mul(r, ctx.inv(m)), ctx.mul(r, m))
+    return ctx.mul(r, m), ctx.mul(r, ctx.inv(m))
 
 
 def test_canonical_lines_fill_the_bucket():
@@ -179,38 +176,38 @@ def test_canonical_lines_fill_the_bucket():
     for q in (7, 8, 9):
         ctx = field(q)
         root = build_sqrt_system(ctx)
-        for g in omega_set(ctx).elements:
+        for g in omega_set(ctx):
             lines = [_h_line(ctx, root, g, m) for m in ctx.units]
-            assert all(line.product == g for line in lines)
+            assert all(ctx.mul(*line) == g for line in lines)
             assert set(lines) == bucket(ctx, g) and len(lines) == ctx.q - 1
 
 
 def test_relabel_frozen_example():
     ctx = field(7)
-    out = relabel(ctx, make_line(ctx, 5, 3), 4)
-    assert (out.m, out.b) == (6, 6)
+    out = relabel(ctx, (3, 5), 4)
+    assert out == (6, 6)
 
 
 def test_relabel_identity_at_one():
     ctx = field(7)
-    line = make_line(ctx, 5, 3)
+    line = (3, 5)
     assert relabel(ctx, line, 1) == line
 
 
 def test_relabel_rejections():
     ctx = field(7)
     with pytest.raises(RegimeMismatch):
-        relabel(ctx, make_line(ctx, 5, 3), 3)  # 3 not a square mod 7
+        relabel(ctx, (3, 5), 3)  # 3 not a square mod 7
     with pytest.raises(RegimeMismatch):
-        relabel(ctx, make_line(ctx, 1, 3), 1)  # product 3 outside restricted set
+        relabel(ctx, (3, 1), 1)  # product 3 outside restricted set
 
 
 def test_relabel_permutes_bucket():
     for q in (7, 8, 9):
         ctx = field(q)
-        for g in omega_set(ctx).elements:
+        for g in omega_set(ctx):
             lines = bucket(ctx, g)
-            for a in omega_set(ctx).elements:
+            for a in omega_set(ctx):
                 image = {relabel(ctx, l, a) for l in lines}
                 assert image == lines
 
@@ -221,14 +218,14 @@ def test_relabel_evaluation_identity():
         ctx = field(q)
         root = build_sqrt_system(ctx)
         om = omega_set(ctx)
-        for g in om.elements:
-            for a in om.elements:
+        for g in om:
+            for a in om:
                 scale = ctx.mul(root[g], root[a])
                 for m in ctx.units:
                     line = _h_line(ctx, root, g, m)
                     moved = relabel(ctx, line, a)
                     want = ctx.mul(scale, ctx.add(m, ctx.inv(m)))
-                    assert line_eval(ctx, moved, a) == want
+                    assert ctx.poly_eval(moved, a) == want
 
 
 def _law_holds(ctx, gamma, alpha):
@@ -241,7 +238,7 @@ def _law_holds(ctx, gamma, alpha):
 
 def _first_law_failure(ctx):
     """The sweep's answer pair by pair: the first failing (gamma, alpha), gamma outermost."""
-    om = omega_set(ctx).elements
+    om = omega_set(ctx)
     return next(((g, a) for g in om for a in om if not _law_holds(ctx, g, a)), None)
 
 
@@ -252,7 +249,7 @@ def test_scalar_evolution_exhaustive():
         ctx = field(q)
         assert scalar_evolution(ctx) is None, q
         root = build_sqrt_system(ctx)
-        om = omega_set(ctx).elements
+        om = omega_set(ctx)
         for d in om:
             for be in om:
                 den = ctx.mul(root[d], root[be])
@@ -281,7 +278,7 @@ def test_scalar_evolution_matches_a_per_pair_reference(monkeypatch, q):
     assert scalar_evolution(ctx) is None
     assert _first_law_failure(ctx) is None
     factor = ctx._exp[1]  # a primitive element, never +-1 here
-    for gamma in omega_set(ctx).elements:
+    for gamma in omega_set(ctx):
         with monkeypatch.context() as patch:
             _tamper_root(patch, ctx, gamma, factor)
             got = scalar_evolution(ctx)
@@ -305,7 +302,7 @@ def test_scalar_evolution_detects_a_wrong_root(monkeypatch):
     witness = scalar_evolution(ctx)
     assert witness is not None and 2 in witness
     # pairs that never read the tampered root still agree
-    om = omega_set(ctx).elements
+    om = omega_set(ctx)
     assert all(_law_holds(ctx, g, a) for g in om for a in om if 2 not in (g, a))
 
 
@@ -329,8 +326,8 @@ def test_one_scaling_identity_small_fields():
         ctx = field(q)
         root = build_sqrt_system(ctx)
         base = b11(ctx)
-        for g in omega_set(ctx).elements:
-            for a in omega_set(ctx).elements:
+        for g in omega_set(ctx):
+            for a in omega_set(ctx):
                 scale = ctx.mul(root[g], root[a])
                 want = {ctx.mul(scale, y) for y in base}
                 assert bucket_eval(ctx, g, a) == mask_of(want)
@@ -341,7 +338,7 @@ def test_sqrt_pullback_identity_small_fields():
     for q in [qq for qq in SUPPORTED_Q if qq <= 64]:
         ctx = field(q)
         root = build_sqrt_system(ctx)
-        for a in omega_set(ctx).elements:
+        for a in omega_set(ctx):
             r = root[a]
             lhs = {ctx.add(ctx.div(a, m), m) for m in ctx.units}
             rhs = {ctx.add(ctx.div(r, m), ctx.mul(r, m)) for m in ctx.units}
