@@ -38,8 +38,6 @@ def poly_derivative(ctx: FieldCtx, coeffs) -> tuple:
 def _poly_mod(ctx: FieldCtx, a, b) -> tuple:
     a = list(_trim(a))
     b = _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial modulus by zero")
     inv_lead = ctx.inv(b[-1])
     while len(a) >= len(b):
         factor = ctx.mul(a[-1], inv_lead)

@@ -654,6 +654,8 @@ def cmd_linleak_check(args) -> RunReport:
     ctx = field(args.q)
     t = 2 * ctx.e - 1
     if args.exhaustive:
+        if args.seed is not None:
+            raise PreconditionViolated("--seed needs sampling; --exhaustive draws no random tuple")
         size = ((ctx.q - 1) * ctx.q) ** t  # counted before _query_space builds a probe
         if size > _EXHAUSTIVE_LIMIT:
             raise PreconditionViolated(f"{size} query tuples; use --samples for GF({ctx.q})")
@@ -662,7 +664,7 @@ def cmd_linleak_check(args) -> RunReport:
     else:
         if args.samples < 1:
             raise PreconditionViolated(f"--samples must be at least 1, got {args.samples}")
-        tuples = _sampled_queries(ctx, t, args.samples, args.seed)
+        tuples = _sampled_queries(ctx, t, args.samples, args.seed or 0)
         mode = "sampled"
     count, verified, witness, failing = _collision_tally(ctx, args.k, args.i, args.j, tuples)
     payload = {
@@ -1138,8 +1140,8 @@ def _field_flag(sp) -> None:
     sp.add_argument("--q", type=int, required=True, help="field size (prime power)")
 
 
-def _seed_flag(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="seed for randomized batteries")
+def _seed_flag(sp, default=0) -> None:
+    sp.add_argument("--seed", type=int, default=default, help="seed for randomized batteries")
 
 
 def _scheme_flag(sp) -> None:
@@ -1187,7 +1189,7 @@ def _game_flags(sp) -> None:
 
 def _linleak_check_flags(sp) -> None:
     _field_flag(sp)
-    _seed_flag(sp)
+    _seed_flag(sp, default=None)  # None tells an explicit --seed apart for --exhaustive
     sp.add_argument("--k", type=int, default=2, help="message dimension")
     sp.add_argument("--i", type=int, default=0, help="first target coefficient")
     sp.add_argument("--j", type=int, default=1, help="second target coefficient")

@@ -19,7 +19,6 @@ Addition takes one of three paths, fixed by the field:
   generator g and i in [0, q-1), zech[i] = log(1 + g^i), or -1 when
   1 + g^i = 0, so g^i + g^j = g^(i + zech[j - i]) is one table lookup
   (Huber, "Some comments on Zech's logarithms", IEEE Trans. IT 1990).
-  Negation is a shift by (q-1)/2 in the exponent, because g^((q-1)/2) = -1.
 - odd p above the table limit: digit-wise arithmetic mod p, the same fork
   `mul` takes between the tables and polynomial reduction.
 
@@ -27,11 +26,16 @@ Prime fields (e = 1) add residues mod p directly.  `add_elems` adds two
 sequences elementwise and picks the path once per call: mod p, XOR, or
 `add` itself for the Zech and digit-wise paths.
 
+Only `add`, `mul`, `inv`, `pow`, `trace` and `poly_eval` (and the bulk
+`add_elems` and `scale_elems`) pick a path by field.  The rest is composed:
+a - b = a + (-b) and a / b = a * b^-1 on every field, and -a is a itself
+for p = 2 and -d mod p on each base-p digit otherwise.
+
 The exp table holds two periods, exp[i] = g^(i mod (q - 1)) for i in
 [0, 2(q - 1)), while log and zech are built from the first.  A sum of two
 logs is then a valid index with no modulo (`mul`, the Zech shift in `add`,
-`scale_elems`), and so is a difference, whose negative values count from
-the end of the table and land one period ahead (`inv`, `div`).
+`scale_elems`), and so is a negated log, which counts from the end of the
+table and lands one period ahead (`inv`).
 
 `trace` reads a per-field table of q entries on tabled fields, built on
 its first call by the Frobenius-sum loop with its prime-subfield assert run
@@ -93,8 +97,6 @@ def _ptrim(a):
 
 
 def _pmul(p, a, b):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -295,23 +297,14 @@ class FieldCtx:
         return 0 if z < 0 else self._exp[i + z]
 
     def sub(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a - b) % self.p
-        if self.p == 2:
-            return a ^ b
-        if self._zech is not None:
-            return self.add(a, self.neg(b))
-        p = self.p
-        return self.from_digits((x - y) % p for x, y in zip(self.digits(a), self.digits(b)))
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        if a == 0 or self.p == 2:
+        """-a: a itself for p = 2, otherwise -d mod p on each base-p digit
+        (`from_digits` reduces them)."""
+        if self.p == 2:
             return a
-        if self.e == 1:
-            return self.p - a
-        if self._exp is not None:  # -1 = g^((q-1)/2)
-            return self._exp[self._log[a] + (self.q - 1) // 2]
-        return self.sub(0, a)
+        return self.from_digits(-d for d in self.digits(a))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -330,13 +323,7 @@ class FieldCtx:
         return self._raw_pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
-        exp = self._exp
-        if exp is None or b == 0:
-            return self.mul(a, self.inv(b))
-        if a == 0:
-            return 0
-        log = self._log
-        return exp[log[a] - log[b]]
+        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:

@@ -125,11 +125,11 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     Each leaked bit tells the line decoder which side of the query set to
     discard: bit 0 keeps the lines that land inside T (discards the rest),
     bit 1 keeps the ones outside.  The pruning replay mirrors that choice
-    side for side, removing the converted eliminator mask of whichever side
-    was discarded -- the eliminator of T when the in-T lines go, the
-    eliminator of the complement of T when the out-of-T lines go.  Removing
-    an explicit mask is the bit-0 branch of the pruning round, so the replay
-    feeds constant zero bits.
+    side for side: it translates the discarded side of each query -- T when
+    the bit is 1, the complement of T when it is 0 -- in one `mqm_to_pqm`
+    call and removes each translated mask.  Removing an explicit mask is
+    the bit-0 branch of the pruning round, so the replay feeds constant
+    zero bits.
 
     Every discarded line's reference point lies inside the converted image
     of the discarded side, so once the line decoder has killed a whole
@@ -141,15 +141,10 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     product from the same transcripts.
     """
     ctx = scheme.ctx
-    translated = mqm_to_pqm(scheme)
-    v_seq = []
-    for z, bit in enumerate(transcript(scheme, message)):
-        if bit == 1:
-            v_seq.append(translated[z])
-        else:
-            flipped = mask_complement(scheme.sets[z], ctx.q)
-            v_seq.append(convert_eliminator(ctx, flipped, scheme.schedule[z]))
-    return run_pqm(ctx, tuple(v_seq), (0,) * len(v_seq))
+    bits = transcript(scheme, message)
+    discarded = [t if bit else mask_complement(t, ctx.q) for t, bit in zip(scheme.sets, bits)]
+    v_seq = mqm_to_pqm(LeakageScheme(ctx, 2, 0, 1, scheme.servers, scheme.schedule, discarded))
+    return run_pqm(ctx, v_seq, (0,) * len(v_seq))
 
 
 class BoundReport(NamedTuple):

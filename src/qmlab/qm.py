@@ -45,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     RegimeMismatch,
 )
-from .galois import FieldCtx
+from .galois import FieldCtx, mask_of
 from .residues import build_sqrt_system, omega_set
 from .rscode import bucket
 
@@ -153,15 +153,10 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
 
 
 def _domain_messages(ctx: FieldCtx, product_domain):
-    """All dimension-2 messages whose coefficient product is in the domain."""
-    dom = frozenset(product_domain)
-    out = []
-    for c0 in ctx.elements:
-        for c1 in ctx.elements:
-            g = ctx.mul(c0, c1)
-            if g in dom:
-                out.append(((c0, c1), g))
-    return out
+    """All dimension-2 messages whose coefficient product is in the domain,
+    as ((c0, c1), product) in (c0, c1) order: the lines of each domain
+    product's `bucket`, so the enumeration shares its q <= 1024 cap."""
+    return sorted((line, g) for g in set(product_domain) for line in bucket(ctx, g))
 
 
 class Collision(NamedTuple):
@@ -517,11 +512,7 @@ def search_min_bandwidth(
         picked = []
         for ai, a in enumerate(alphas):
             for w in range(bits[ai]):
-                m = 0
-                for v in range(q):
-                    if (colorings[ai][v] >> w) & 1:
-                        m |= 1 << v
-                picked.append((a, m))
+                picked.append((a, mask_of(v for v in range(q) if colorings[ai][v] >> w & 1)))
         picked.sort()
         scheme = LeakageScheme(
             ctx,

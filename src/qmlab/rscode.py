@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import PreconditionViolated, RegimeMismatch, UnsupportedField
+from .errors import RegimeMismatch, UnsupportedField
 from .galois import FieldCtx, add_elems, mask_elems, mask_full, mask_of, scale_elems, scale_mask
 from .residues import build_sqrt_system
 
@@ -122,8 +122,6 @@ def relabel(ctx: FieldCtx, line: tuple, alpha: int) -> tuple:
         raise RegimeMismatch(f"line product {product} outside the restricted set")
     if alpha not in root:
         raise RegimeMismatch(f"{alpha} outside the restricted set")
-    if m == 0:
-        raise PreconditionViolated("relabel needs a nonzero slope")
     r = root[alpha]
     out = ctx.mul(b, r), ctx.div(m, r)
     assert ctx.mul(*out) == product

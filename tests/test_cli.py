@@ -502,6 +502,21 @@ def test_qm_verify_failure_has_counterexample(capsys, tmp_path):
     assert ctx.mul(b[0], b[1]) == wit["products"][1]
 
 
+@pytest.mark.parametrize("domain", ["all", "nonzero", "omega"])
+def test_qm_verify_above_the_bucket_cap_exits_2(capsys, tmp_path, domain):
+    # the messages come from rscode.bucket, so a field past its cap is refused
+    # before any of the q^2 messages is built
+    ctx = field(1031)
+    obj = {"field": ctx.descriptor(), "k": 2, "i": 0, "j": 1,
+           "servers": [1], "schedule": [1], "sets": ["1"]}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    assert cmd_dispatch(["qm", "verify", "--scheme", str(path), "--domain", domain]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bucket enumeration capped at q <= 1024\n"
+
+
 def test_search_verify_convert_run_pipeline(capsys, tmp_path):
     code, report = run_json(
         capsys, ["qm", "search", "--q", "7", "--mode", "mqm", "--servers", "1,2,4"]
@@ -860,6 +875,19 @@ def test_linleak_check_exhaustive_and_sampled(capsys):
     code, report = run_json(capsys, ["linleak", "check", "--q", "8", "--samples", "40"])
     assert code == 0 and report["count"] == 40 and report["verified"] == 40
     assert cmd_dispatch(["linleak", "check", "--q", "8", "--exhaustive"]) == 2
+
+
+def test_linleak_check_seed_needs_sampling(capsys):
+    # an exhaustive run draws nothing, so a seed there would be silently ignored
+    argv = ["linleak", "check", "--q", "4", "--exhaustive", "--seed", "5", "--json"]
+    assert cmd_dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed needs sampling; --exhaustive draws no random tuple\n"
+    # without --seed the sampled run keeps seed 0
+    _, implicit = run_cli(capsys, ["linleak", "check", "--q", "8", "--samples", "20", "--json"])
+    argv = ["linleak", "check", "--q", "8", "--samples", "20", "--seed", "0", "--json"]
+    assert run_cli(capsys, argv) == (0, implicit)
 
 
 def test_linleak_exhaustive_size_check_builds_no_probe(capsys, monkeypatch):

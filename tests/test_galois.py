@@ -155,9 +155,10 @@ def test_field_axioms_exhaustive():
 
 
 def test_mul_matches_raw_polynomial_mul():
-    # mul, inv, div and pow index the two-period exp table with no modulo and
-    # must agree with schoolbook reduction: every pair (a, b) of each tabled
-    # field up to 64, with b also the exponent, and sampled pairs above
+    # mul and inv index the two-period exp table with no modulo, pow with one,
+    # and div is mul by inv; all must agree with schoolbook reduction: every
+    # pair (a, b) of each tabled field up to 64, with b also the exponent, and
+    # sampled pairs above
     for q in [q for q in range(2, 65) if prime_power(q)]:
         ctx = field(q)
         assert len(ctx._exp) == 2 * (q - 1) and ctx._exp[: q - 1] == ctx._exp[q - 1 :]

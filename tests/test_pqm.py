@@ -13,7 +13,17 @@ from qmlab.pqm import (
     replay_transcript,
     run_pqm,
 )
-from qmlab.qm import FAIL, MQM, SUCCESS, LeakageScheme, mqm_check, search_min_bandwidth
+from qmlab.qm import (
+    FAIL,
+    MQM,
+    SUCCESS,
+    LeakageScheme,
+    convert_eliminator,
+    leak_bit,
+    mqm_check,
+    search_min_bandwidth,
+    transcript,
+)
 from qmlab.residues import b11, build_sqrt_system, omega_set
 
 
@@ -278,6 +288,25 @@ def test_searched_schemes_replay_end_to_end():
         ctx = field(q)
         _, scheme = search_min_bandwidth(ctx, MQM, omega_set(ctx))
         exhaustive_replay(scheme, size_cap=cap)
+
+
+def test_replay_removes_the_side_each_bit_discards():
+    # bit b discards the lines whose value x at the query has leak_bit(T, x) != b,
+    # so the replay removes the eliminator of those values.  Replays with the
+    # sides swapped also end in success with no class left, so whole states
+    # are compared, on every in-Omega message
+    for q in (7, 8):
+        ctx = field(q)
+        _, scheme = search_min_bandwidth(ctx, MQM, omega_set(ctx))
+        for message in restricted_messages(ctx):
+            v_seq = [
+                convert_eliminator(
+                    ctx, mask_of(x for x in ctx.elements if leak_bit(t_mask, x) != bit), a
+                )
+                for a, t_mask, bit in zip(scheme.schedule, scheme.sets, transcript(scheme, message))
+            ]
+            want = run_pqm(ctx, v_seq, (0,) * len(v_seq))
+            assert replay_transcript(scheme, message) == want, (q, message)
 
 
 def test_tampered_scheme_translates_but_can_fail():

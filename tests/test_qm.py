@@ -13,8 +13,9 @@ from qmlab.errors import (
     InvalidScheme,
     PreconditionViolated,
     RegimeMismatch,
+    UnsupportedField,
 )
-from qmlab.galois import field, mask_elems, mask_full, mask_of
+from qmlab.galois import field, mask_elems, mask_full, mask_of, prime_power
 from qmlab.qm import (
     APPENDIX,
     FAIL,
@@ -24,6 +25,7 @@ from qmlab.qm import (
     SUCCESS,
     LeakageScheme,
     _color_graph,
+    _domain_messages,
     _join_sides,
     _message_maps,
     _MessageMap,
@@ -193,6 +195,19 @@ def test_verify_matches_replay():
             for f, g in all_messages(scheme.ctx, domain)
         )
         assert verify_scheme(scheme, domain) == replay_ok
+
+
+def test_domain_messages_match_the_double_loop():
+    # the bucket enumeration lists the c0-major double loop's messages in its order
+    for q in [q for q in range(2, 17) if prime_power(q)]:
+        ctx = field(q)
+        for mode in (QM, APPENDIX, MQM):
+            try:
+                domain = _mode_domain(ctx, mode)
+            except UnsupportedField:
+                assert (q, mode) in ((2, MQM), (4, MQM))  # no restricted set
+                continue
+            assert _domain_messages(ctx, domain) == list(all_messages(ctx, domain)), (q, mode)
 
 
 def test_mqm_check():
