@@ -29,7 +29,8 @@ import random
 from typing import NamedTuple
 
 from .errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of, scale_mask
+from .galois import FieldCtx, mask_complement, mask_elems, mask_full, mask_of, scale_elems
+from .galois import scale_mask
 from .qm import FAIL, SUCCESS, LeakageScheme, convert_eliminator, transcript
 from .residues import b11, build_sqrt_system, omega_set
 
@@ -65,9 +66,10 @@ def _keep(alive: int, v_mask: int, bit: int) -> int:
 
 
 def _class_images(ctx: FieldCtx) -> dict:
-    """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order."""
-    ref = mask_of(b11(ctx))
-    return {g: scale_mask(ctx, r, ref) for g, r in build_sqrt_system(ctx).items()}
+    """gamma -> I_gamma = sqrt(gamma)*B_1(1), as a q-bit y-mask, in class order;
+    the elements of B_1(1) are listed once for all classes."""
+    ref = sorted(b11(ctx))
+    return {g: mask_of(scale_elems(ctx, r, ref)) for g, r in build_sqrt_system(ctx).items()}
 
 
 def _total(images: dict, alive: int) -> int:
@@ -170,7 +172,11 @@ def bandwidth_bound(ctx: FieldCtx) -> BoundReport:
 
 def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
     """Per-game eliminator generator for the named strategy; it is called
-    with the surviving y-mask and the round index and returns a q-bit mask."""
+    with the surviving y-mask and the round index and returns a q-bit mask.
+
+    Greedy-halving's V depends on the surviving mask `alive` alone, so each
+    game memoizes it per `alive`: a round that keeps every survivor (a
+    stalled round) asks for the same V again and gets it from the memo."""
     if strategy == "greedy-halving":
         # weight of u = surviving points the bit-0 branch would drop: the
         # cluster size #{gamma : u in I_gamma} while u is alive, 0 after;
@@ -179,8 +185,11 @@ def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
         for image in images.values():
             for u in mask_elems(image):
                 cluster[u] += 1
+        memo = {}
 
         def emit(alive: int, _round: int):
+            if alive in memo:
+                return memo[alive]
             weight = [c if alive >> u & 1 else 0 for u, c in enumerate(cluster)]
             side_v, side_rest = 0, 0
             v = 0
@@ -190,6 +199,7 @@ def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
                     side_v += weight[u]
                 elif u != 0:
                     side_rest += weight[u]
+            memo[alive] = v
             return v
 
         return emit

@@ -145,6 +145,55 @@ def test_closed_stdout_prints_nothing_and_keeps_the_verdict():
     assert (code, err) == (0, b"")
 
 
+def test_main_freezes_the_heap_once_after_dispatch(monkeypatch):
+    events = []
+
+    def dispatch(argv=None):
+        events.append("dispatch")
+        return 1
+
+    monkeypatch.setattr(cli, "cmd_dispatch", dispatch)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: events.append("freeze"))
+    with pytest.raises(SystemExit) as err:
+        cli.main()
+    assert err.value.code == 1
+    assert events == ["dispatch", "freeze"]
+
+
+def test_in_process_dispatch_never_freezes_the_heap(capsys, monkeypatch):
+    # tests and the traced benchmark child call cmd_dispatch in-process, where
+    # a freeze would stop the collector for the rest of the process
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    assert run_cli(capsys, ["field", "--q", "7", "--json"])[0] == 0
+    assert frozen == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["buckets", "--q", "81", "--json"],
+        ["game", "--q", "243", "--strategy", "greedy-halving", "--seed", "0", "--json"],
+    ],
+    ids=["buckets-81", "game-243"],
+)
+def test_a_fresh_process_loses_nothing_at_exit(capsys, argv):
+    # the heap is frozen before exit; every byte must still reach stdout
+    code, out = run_cli(capsys, argv)
+    done = subprocess.run([sys.executable, "-m", "qmlab", *argv], capture_output=True, timeout=60)
+    assert (code, done.returncode, done.stderr) == (0, 0, b"")
+    assert done.stdout == out.encode()
+
+
+def test_a_fresh_process_keeps_the_exit_codes(capsys):
+    assert _qmlab("suite", "--qmax", "9", "--json").returncode == 1
+    assert cmd_dispatch(["game", "--q", "6"]) == 2
+    want = capsys.readouterr().err
+    done = _qmlab("game", "--q", "6")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", want)
+    assert want.startswith("error: ") and want.count("\n") == 1
+
+
 def test_exit_code_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         cmd_dispatch(["no-such-command"])

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from qmlab.errors import InvalidScheme, PreconditionViolated, UnknownStrategy
-from qmlab.galois import field, mask_elems, mask_of
+from qmlab.galois import field, mask_elems, mask_of, scale_mask
 from qmlab.pqm import (
     BoundReport,
+    _class_images,
     bandwidth_bound,
     mqm_to_pqm,
     play_game,
@@ -194,6 +195,27 @@ def test_game_matches_three_call_reference():
             got = play_game(ctx, strategy, seed=seed, max_rounds=cap, v_seq=v_seq)
             want = reference_game(ctx, strategy, seed, max_rounds=cap, v_seq=v_seq)
             assert got == want, (q, strategy, seed, cap, len(v_seq))
+
+
+@pytest.mark.parametrize("q", [121, 128])
+def test_stalled_games_match_three_call_reference(q):
+    # on the benchmark's fields the greedy game stalls: 20 or more of its
+    # rounds leave the survivors unchanged and read the memoized V
+    ctx = field(q)
+    games = {s: play_game(ctx, s, seed=0) for s in ("greedy-halving", "random-set")}
+    for strategy, got in games.items():
+        assert got == reference_game(ctx, strategy, 0), (q, strategy)
+    history = games["greedy-halving"]["survivors"]
+    assert sum(a == b for a, b in zip(history, history[1:])) >= 20, q
+
+
+def test_class_images_scale_the_reference_image():
+    for q in REFERENCE_Q + (121, 125, 128, 243):
+        ctx = field(q)
+        ref = mask_of(b11(ctx))
+        want = {g: scale_mask(ctx, r, ref) for g, r in build_sqrt_system(ctx).items()}
+        images = _class_images(ctx)
+        assert images == want and list(images) == list(want), q
 
 
 def test_run_pqm_matches_round_by_round_reference():
