@@ -176,12 +176,21 @@ def _failing(bad, **fields) -> tuple:
 
 
 class RunReport:
-    """A command's payload and named checks; cmd_dispatch stamps `started`
-    for the wall time of the text report."""
+    """A command's payload and named checks.  A report about one field is
+    given its `ctx`, which sets the payload's `field` descriptor and `q` in
+    place, so a text body holding the payload sees both.  cmd_dispatch
+    stamps `started` for the wall time of the text report."""
 
     def __init__(
-        self, command: str, payload: dict, checks: list, text_body: Callable[[], list] | None = None
+        self,
+        command: str,
+        payload: dict,
+        checks: list,
+        text_body: Callable[[], list] | None = None,
+        ctx: FieldCtx | None = None,
     ):
+        if ctx is not None:
+            payload.update(field=ctx.descriptor(), q=ctx.q)
         self.command = command
         self.payload = payload
         self.checks = checks
@@ -252,9 +261,9 @@ def scheme_to_obj(scheme: LeakageScheme) -> dict:
     q = scheme.ctx.q
     return {
         "field": scheme.ctx.descriptor(),
-        "k": scheme.k,
-        "i": scheme.i,
-        "j": scheme.j,
+        "k": 2,
+        "i": 0,
+        "j": 1,
         "servers": sorted(scheme.servers),
         "schedule": list(scheme.schedule),
         "sets": [mask_to_hex(m, q) for m in scheme.sets],
@@ -282,8 +291,11 @@ def scheme_from_obj(obj, where: str = "scheme") -> LeakageScheme:
             sets.append(mask_from_hex(text, ctx.q))
         except ValueError as exc:
             raise SchemaError(f"{where}.sets[{idx}]: {exc}") from None
+    # a scheme holds no targets, so a file's (1, 0) reads as (0, 1)
+    if k != 2 or {i, j} != {0, 1}:
+        raise SchemaError(f"{where}: need dimension k = 2 with targets {{0, 1}}")
     try:
-        return LeakageScheme(ctx, k, i, j, servers, tuple(schedule), tuple(sets))
+        return LeakageScheme(ctx, servers, schedule, sets)
     except InvalidScheme as exc:
         raise SchemaError(f"{where}.{exc}" if exc.entry else f"{where}: {exc}") from None
 
@@ -366,8 +378,8 @@ def _table_report(command: str, ctx: FieldCtx, cells: dict, checks: list) -> Run
     """The {field, q, table} report of an image grid keyed like _grid_lines;
     the text grid is built only when the report is rendered as text."""
     table = {str(a): {str(g): cells[(a, g)] for g in ctx.elements} for a in ctx.elements}
-    payload = {"field": ctx.descriptor(), "q": ctx.q, "table": table}
-    return RunReport(command, payload, checks, text_body=partial(_grid_lines, ctx, cells))
+    text_body = partial(_grid_lines, ctx, cells)
+    return RunReport(command, {"table": table}, checks, text_body=text_body, ctx=ctx)
 
 
 def _figure1_mismatches(ctx: FieldCtx, table) -> list:
@@ -444,29 +456,19 @@ def _searched_gf7():
 
 def cmd_field(args) -> RunReport:
     ctx = field(args.q)
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "primitive": find_primitive(ctx),
-    }
-    return RunReport("field", payload, [])
+    return RunReport("field", {"primitive": find_primitive(ctx)}, [], ctx=ctx)
 
 
 def cmd_residues(args) -> RunReport:
     ctx = field(args.q)
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "regime": regime_of(ctx),
-        "omega": omega_set(ctx),
-    }
+    payload = {"regime": regime_of(ctx), "omega": omega_set(ctx)}
     try:
         pair = scaled_pair(ctx)
     except NoPairExists as exc:
         payload.update({"pair": None, "sqrt": None, "union_sizes": None})
         witness = _residue_witness(ctx, b11(ctx) - {0})
         fail = _check("scaled-pair-exists", False, note=str(exc), counterexample=witness)
-        return RunReport("residues", payload, [fail])
+        return RunReport("residues", payload, [fail], ctx=ctx)
     expected, sizes, bad = _union_sizes(ctx, pair)
     payload.update(
         {
@@ -481,7 +483,7 @@ def cmd_residues(args) -> RunReport:
         _check("scaled-pair-exists", True, pair=[pair.a, pair.b]),
         _check("union-sizes", ok, **extra),
     ]
-    return RunReport("residues", payload, checks)
+    return RunReport("residues", payload, checks, ctx=ctx)
 
 
 def cmd_charsum(args) -> RunReport:
@@ -491,10 +493,10 @@ def cmd_charsum(args) -> RunReport:
         if not 0 <= c < ctx.q:
             raise PreconditionViolated(f"--poly[{idx}] = {c} is not an element of GF({ctx.q})")
     report = complete_char_sum(ctx, tuple(args.poly))
-    payload = {"field": ctx.descriptor(), "q": ctx.q, **report._asdict()}
     ok = report.within_bound or not report.square_free
-    checks = [_check("weil-bound", ok, value=report.value, bound=report.bound)]
-    return RunReport("charsum", payload, checks)
+    note = {} if report.square_free else {"note": "not square-free: Weil's bound does not apply"}
+    checks = [_check("weil-bound", ok, value=report.value, bound=report.bound, **note)]
+    return RunReport("charsum", report._asdict(), checks, ctx=ctx)
 
 
 def cmd_buckets(args) -> RunReport:
@@ -518,14 +520,8 @@ def cmd_qm_verify(args) -> RunReport:
     witness = collision_witness(scheme, domain)
     ok, extra = _failing(witness and witness._asdict(), domain=args.domain)
     checks.append(_check("transcript-separates-products", ok, **extra))
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "t": scheme.t,
-        "domain": args.domain,
-        "scheme": scheme_to_obj(scheme),
-    }
-    return RunReport("qm verify", payload, checks)
+    payload = {"t": scheme.t, "domain": args.domain, "scheme": scheme_to_obj(scheme)}
+    return RunReport("qm verify", payload, checks, ctx=ctx)
 
 
 def cmd_qm_search(args) -> RunReport:
@@ -557,13 +553,7 @@ def cmd_qm_search(args) -> RunReport:
     got = search_min_bandwidth(
         ctx, args.mode, servers, t_max=args.tmax, budget=args.budget, counters=work
     )
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "mode": args.mode,
-        "servers": sorted(servers),
-        "found": got is not None,
-    }
+    payload = {"mode": args.mode, "servers": sorted(servers), "found": got is not None}
     if got is None:
         blocked = _separation_problem(ctx, args.mode, servers)[2]
         note = "no scheme within --tmax"
@@ -578,7 +568,8 @@ def cmd_qm_search(args) -> RunReport:
         payload["t"] = t
         payload["scheme"] = scheme_to_obj(scheme)
         checks = [_check("scheme-found", True, t=t)]
-    return RunReport("qm search", payload, checks, text_body=partial(_search_lines, payload, work))
+    text_body = partial(_search_lines, payload, work)
+    return RunReport("qm search", payload, checks, text_body=text_body, ctx=ctx)
 
 
 def _search_lines(payload: dict, work: dict) -> list:
@@ -591,13 +582,8 @@ def _search_lines(payload: dict, work: dict) -> list:
 
 def cmd_qm_convert(args) -> RunReport:
     scheme = read_scheme(args.scheme)
-    v_seq = mqm_to_pqm(scheme)
-    payload = {
-        "field": scheme.ctx.descriptor(),
-        "q": scheme.ctx.q,
-        "v_seq": [mask_elems(v) for v in v_seq],
-    }
-    return RunReport("qm convert", payload, [])
+    payload = {"v_seq": [mask_elems(v) for v in mqm_to_pqm(scheme)]}
+    return RunReport("qm convert", payload, [], ctx=scheme.ctx)
 
 
 def cmd_pqm_run(args) -> RunReport:
@@ -609,15 +595,13 @@ def cmd_pqm_run(args) -> RunReport:
     outcome, state = run_pqm(ctx, v_seq, tuple(args.transcript))
     alive = state.nonempty()
     payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
         "outcome": outcome,
         "rounds": state.rounds,
         "survivors": list(state.history),
         "classes_left": alive,
     }
     ok, extra = _failing(None if outcome == SUCCESS else {"classes_left": alive})
-    return RunReport("pqm run", payload, [_check("at-most-one-class-left", ok, **extra)])
+    return RunReport("pqm run", payload, [_check("at-most-one-class-left", ok, **extra)], ctx=ctx)
 
 
 def cmd_game(args) -> RunReport:
@@ -637,7 +621,7 @@ def cmd_game(args) -> RunReport:
         ctx, args.strategy, seed=args.seed, max_rounds=args.max_rounds, v_seq=v_seq
     )
     floor = bandwidth_bound(ctx).integer_round_bound
-    payload = {"field": ctx.descriptor(), "integer_round_bound": floor, **record}
+    payload = {"integer_round_bound": floor, **record}
     checks = [
         _check(
             "rounds-at-least-floor",
@@ -646,21 +630,13 @@ def cmd_game(args) -> RunReport:
             rounds_played=record["rounds_played"],
         )
     ]
-    return RunReport("game", payload, checks)
+    return RunReport("game", payload, checks, ctx=ctx)
 
 
 def cmd_bound(args) -> RunReport:
     ctx = field(args.q)
-    rep = bandwidth_bound(ctx)
-    payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
-        "p": ctx.p,
-        "e": ctx.e,
-        "real_bound": rep.real_bound,
-        "integer_round_bound": rep.integer_round_bound,
-    }
-    return RunReport("bound", payload, [])
+    payload = {"p": ctx.p, "e": ctx.e, **bandwidth_bound(ctx)._asdict()}
+    return RunReport("bound", payload, [], ctx=ctx)
 
 
 def cmd_linleak_check(args) -> RunReport:
@@ -681,8 +657,6 @@ def cmd_linleak_check(args) -> RunReport:
         mode = "sampled"
     count, verified, witness, failing = _collision_tally(ctx, args.k, args.i, args.j, tuples)
     payload = {
-        "field": ctx.descriptor(),
-        "q": ctx.q,
         "t": t,
         "k": args.k,
         "i": args.i,
@@ -693,14 +667,16 @@ def cmd_linleak_check(args) -> RunReport:
         "witness": witness,
     }
     ok, extra = _failing(failing, count=count)  # ok exactly when verified == count
-    return RunReport("linleak check", payload, [_check("all-collisions-verify", ok, **extra)])
+    checks = [_check("all-collisions-verify", ok, **extra)]
+    return RunReport("linleak check", payload, checks, ctx=ctx)
 
 
 def cmd_gf7_verify(args) -> RunReport:
     scheme = gf7_scheme()
     ok, cost = _gf7_five_bits()
-    payload = {"field": scheme.ctx.descriptor(), "q": 7, **cost, "scheme": scheme_to_obj(scheme)}
-    return RunReport("gf7 verify", payload, [_check("five-bit-reconstruction", ok, **cost)])
+    payload = {**cost, "scheme": scheme_to_obj(scheme)}
+    checks = [_check("five-bit-reconstruction", ok, **cost)]
+    return RunReport("gf7 verify", payload, checks, ctx=scheme.ctx)
 
 
 def cmd_gf7_table(args) -> RunReport:
@@ -861,9 +837,6 @@ def _sc_gf7_truncations() -> tuple:
     for z in range(scheme.t):
         short = LeakageScheme(
             scheme.ctx,
-            scheme.k,
-            scheme.i,
-            scheme.j,
             scheme.servers,
             scheme.schedule[:z] + scheme.schedule[z + 1 :],
             scheme.sets[:z] + scheme.sets[z + 1 :],
@@ -914,7 +887,7 @@ def _sc_scheme_roundtrip() -> tuple:
 
 def _sc_off_schedule() -> tuple:
     ctx = field(7)
-    scheme = LeakageScheme(ctx, 2, 0, 1, frozenset({3}), (3,), (mask_of({0, 1}),))
+    scheme = LeakageScheme(ctx, {3}, (3,), (mask_of({0, 1}),))
     return mqm_check(scheme) is False, {}
 
 
@@ -965,9 +938,7 @@ def _sc_appendix_search_gf7() -> tuple:
 
 def _sc_replay_gf8() -> tuple:
     ctx = field(8)
-    scheme = LeakageScheme(
-        ctx, 2, 0, 1, omega_set(ctx), (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2)
-    )
+    scheme = LeakageScheme(ctx, omega_set(ctx), (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2))
     replays_ok, count, worst = _replay_battery(scheme)
     ok = mqm_check(scheme) and replays_ok and count == 21 and worst <= 3
     return ok, {"replays": count, "max_class": worst}

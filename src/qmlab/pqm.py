@@ -145,7 +145,7 @@ def replay_transcript(scheme: LeakageScheme, message) -> tuple:
     ctx = scheme.ctx
     bits = transcript(scheme, message)
     discarded = [t if bit else mask_complement(t, ctx.q) for t, bit in zip(scheme.sets, bits)]
-    v_seq = mqm_to_pqm(LeakageScheme(ctx, 2, 0, 1, scheme.servers, scheme.schedule, discarded))
+    v_seq = mqm_to_pqm(LeakageScheme(ctx, scheme.servers, scheme.schedule, discarded))
     return run_pqm(ctx, v_seq, (0,) * len(v_seq))
 
 

@@ -58,24 +58,25 @@ INVALID_TRANSCRIPT = "invalid_transcript"
 FAIL = "fail"
 
 
-class LeakageScheme:
-    """Servers, a query schedule and one leakage set per scheduled query, for
-    recovering X_0 * X_1 from dimension-2 messages (k = 2, {i, j} = {0, 1},
-    the only shape the decoders read).  Validated when built; equal and
-    hashed by value."""
+class _Scheme(NamedTuple):
+    ctx: FieldCtx
+    servers: frozenset
+    schedule: tuple
+    sets: tuple  # q-bit masks, one per schedule entry
 
-    def __init__(self, ctx: FieldCtx, k: int, i: int, j: int, servers, schedule, sets):
-        self.ctx = ctx
-        self.k = k
-        self.i = i
-        self.j = j
+
+class LeakageScheme(_Scheme):
+    """Servers, a query schedule and one leakage set per scheduled query, for
+    recovering X_0 * X_1 from dimension-2 messages (c0, c1), the only target
+    the decoders read.  Validated when built; equal and hashed as the tuple
+    (ctx, frozenset servers, tuple schedule, tuple sets)."""
+
+    __slots__ = ()
+
+    def __new__(cls, ctx: FieldCtx, servers, schedule, sets):
         given = tuple(servers)  # servers[i] in an error indexes them as given
-        self.servers = frozenset(given)
-        self.schedule = tuple(schedule)
-        self.sets = tuple(sets)  # q-bit masks, one per schedule entry
+        self = super().__new__(cls, ctx, frozenset(given), tuple(schedule), tuple(sets))
         q = ctx.q
-        if k != 2 or {i, j} != {0, 1}:
-            raise InvalidScheme("need dimension k = 2 with targets {0, 1}")
         if len(self.schedule) != len(self.sets):
             raise InvalidScheme("schedule and sets must have equal length")
         for idx, a in enumerate(given):
@@ -86,15 +87,7 @@ class LeakageScheme:
                 raise InvalidScheme(f"{a} is not a server", f"schedule[{idx}]")
         if not all(0 <= m < (1 << q) for m in self.sets):
             raise InvalidScheme("each leakage set must be a q-bit mask")
-
-    def _key(self) -> tuple:
-        return (self.ctx, self.k, self.i, self.j, self.servers, self.schedule, self.sets)
-
-    def __eq__(self, other):
-        return isinstance(other, LeakageScheme) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return self
 
     @property
     def t(self) -> int:
@@ -113,8 +106,8 @@ def leak_bit(t_mask: int, x: int) -> int:
 
 def transcript(scheme: LeakageScheme, message) -> tuple:
     coeffs = tuple(message)
-    if len(coeffs) != scheme.k:
-        raise PreconditionViolated(f"message must have {scheme.k} coefficients")
+    if len(coeffs) != 2:
+        raise PreconditionViolated("message must have 2 coefficients")
     ctx = scheme.ctx
     return tuple(
         leak_bit(t_mask, ctx.poly_eval(coeffs, a))
@@ -137,12 +130,11 @@ def run_qm(scheme: LeakageScheme, bits, product_domain=None) -> QmOutcome:
     domain = tuple(ctx.elements) if product_domain is None else tuple(product_domain)
     survivors = {g: list(bucket(ctx, g)) for g in domain}
     for b, a, t_mask in zip(bits, scheme.schedule, scheme.sets):
-        keep_inside = b == 0
         for g in domain:
             survivors[g] = [
                 line
                 for line in survivors[g]
-                if (((t_mask >> ctx.poly_eval(line, a)) & 1) == 1) == keep_inside
+                if leak_bit(t_mask, ctx.poly_eval(line, a)) == b
             ]
     alive = [g for g in domain if survivors[g]]
     if len(alive) == 1:
@@ -514,15 +506,7 @@ def search_min_bandwidth(
             for w in range(bits[ai]):
                 picked.append((a, mask_of(v for v in range(q) if colorings[ai][v] >> w & 1)))
         picked.sort()
-        scheme = LeakageScheme(
-            ctx,
-            2,
-            0,
-            1,
-            servers,
-            tuple(a for a, _ in picked),
-            tuple(m for _, m in picked),
-        )
+        scheme = LeakageScheme(ctx, servers, [a for a, _ in picked], [m for _, m in picked])
         # no mqm_check: _separation_problem already kept only points in Omega
         assert verify_scheme(scheme, domain)
         return len(picked), scheme

@@ -46,15 +46,7 @@ _IMAGE_GRID = (
 
 def gf7_scheme() -> LeakageScheme:
     """The five-server, one-bit-per-server scheme over GF(7)."""
-    return LeakageScheme(
-        field(7),
-        2,
-        0,
-        1,
-        frozenset(range(5)),
-        tuple(range(5)),
-        tuple(mask_of(t) for t in GF7_SETS),
-    )
+    return LeakageScheme(field(7), range(5), range(5), map(mask_of, GF7_SETS))
 
 
 def verify_gf7() -> bool:

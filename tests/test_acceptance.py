@@ -51,7 +51,7 @@ def _line(num, desc, ok, budget=None, took=None, why=""):
 def _scheme(q, schedule, hex_sets):
     ctx = field(q)
     return LeakageScheme(
-        ctx, 2, 0, 1, omega_set(ctx), schedule,
+        ctx, omega_set(ctx), schedule,
         tuple(mask_from_hex(h, q) for h in hex_sets),
     )
 

@@ -14,9 +14,9 @@ import qmlab
 from qmlab import cli, rscode
 from qmlab.cli import canonical_json, cmd_dispatch, read_scheme, scheme_from_obj, scheme_to_obj
 from qmlab.errors import SchemaError
-from qmlab.galois import field
+from qmlab.galois import field, mask_elems
 from qmlab.pqm import BoundReport, mqm_to_pqm, run_pqm
-from qmlab.qm import transcript
+from qmlab.qm import LeakageScheme, transcript
 from qmlab.shamir7 import gf7_scheme
 
 
@@ -349,6 +349,59 @@ def test_charsum_weil_and_square_factor_gate(capsys):
     code, report = run_json(capsys, ["charsum", "--q", "7", "--poly", "0,0,1"])
     assert code == 0 and not report["square_free"] and not report["within_bound"]
     assert report["value"] == 6
+    (check,) = report["checks"]
+    assert check["pass"] and check["note"] == "not square-free: Weil's bound does not apply"
+    _, report = run_json(capsys, ["charsum", "--q", "7", "--poly", "0,1,0,1"])
+    assert "note" not in report["checks"][0]
+
+
+# {gf7}: the GF(7) scheme file, {mqm}: a GF(7) scheme inside the restricted
+# set, {v}: that scheme's eliminators with the field descriptor
+_FIELD_REPORTS = [
+    (["field", "--q", "9"], 9),
+    (["residues", "--q", "7"], 7),
+    (["residues", "--q", "5"], 5),  # no scaled pair: the early return
+    (["charsum", "--q", "9", "--poly", "0,1,0,1"], 9),
+    (["buckets", "--q", "8"], 8),
+    (["qm", "search", "--q", "5"], 5),
+    (["qm", "search", "--q", "7", "--tmax", "1"], 7),  # not found
+    (["qm", "verify", "--scheme", "{gf7}"], 7),
+    (["qm", "convert", "--scheme", "{mqm}"], 7),
+    (["pqm", "run", "--v-file", "{v}", "--transcript", "0,1,0"], 7),
+    (["game", "--q", "9"], 9),
+    (["bound", "--q", "16"], 16),
+    (["linleak", "check", "--q", "4", "--samples", "3"], 4),
+    (["gf7", "verify"], 7),
+    (["gf7", "table"], 7),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, q",
+    _FIELD_REPORTS,
+    ids=[
+        "-".join([w for w in a[:2] if not w.startswith("-")] + [str(q)])
+        for a, q in _FIELD_REPORTS
+    ],
+)
+def test_a_field_report_names_its_field(capsys, tmp_path, argv, q):
+    mqm = LeakageScheme(field(7), {1, 2, 4}, (1, 2, 4), (0x3C, 0x18, 0x24))
+    files = {"gf7": scheme_to_obj(gf7_scheme()), "mqm": scheme_to_obj(mqm)}
+    v_seq = [mask_elems(v) for v in mqm_to_pqm(mqm)]
+    files["v"] = {"field": field(7).descriptor(), "v_seq": v_seq}
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    argv = [a.format(**{name: tmp_path / f"{name}.json" for name in files}) for a in argv]
+    code, report = run_json(capsys, argv)
+    assert code in (0, 1)
+    assert (report["field"], report["q"]) == (field(q).descriptor(), q)
+
+
+@pytest.mark.parametrize(
+    "argv", [["gf7", "leak", "--alpha", "1", "--set", "0,1,6"], ["suite", "--qmax", "5"]]
+)
+def test_a_report_about_no_one_field_has_no_field_key(capsys, argv):
+    assert "field" not in run_json(capsys, argv)[1]
 
 
 def test_charsum_rejects_out_of_field_coefficients(capsys):
@@ -522,10 +575,10 @@ def test_scheme_file_of_another_shape_exits_2_naming_it(capsys, tmp_path):
         assert cmd_dispatch(["qm", "verify", "--scheme", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: {path}: need dimension k = 2 with targets {{0, 1}}\n"
-    # the targets in the other order are accepted and echoed back as given
+    # the targets in the other order are accepted and echoed back as (0, 1)
     path.write_text(json.dumps({**good, "i": 1, "j": 0}))
     code, report = run_json(capsys, ["qm", "verify", "--scheme", str(path)])
-    assert code == 0 and (report["scheme"]["i"], report["scheme"]["j"]) == (1, 0)
+    assert code == 0 and (report["scheme"]["i"], report["scheme"]["j"]) == (0, 1)
 
 
 def test_schema_error_exits_2(capsys, tmp_path):
@@ -1016,7 +1069,7 @@ def test_qm_search_reports_are_pinned(capsys, command):
 def test_qm_search_text_reports_its_work(capsys):
     argv = ["qm", "search", "--q", "7", "--mode", "appendix", "--servers", "0,1,2,3,4"]
     code, out = run_cli(capsys, argv)
-    assert code == 0
+    assert code == 0 and "\nq = 7\n" in out and '\nfield = {"e":1,' in out
     assert (
         "search work = 1157 nodes expanded; cap tuples 24 searched, 34 skipped by symmetry;"
         " 228 dead edges learned\n"

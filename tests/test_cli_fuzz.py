@@ -235,7 +235,7 @@ def _mutate(rng: random.Random, doc: dict, p: int, e: int) -> dict:
 
 def test_mutated_scheme_and_v_files_exit_0_1_or_2(capsys, tmp_path):
     gf8 = field(8)
-    gf8_scheme = LeakageScheme(gf8, 2, 0, 1, {1, 4, 7}, (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2))
+    gf8_scheme = LeakageScheme(gf8, {1, 4, 7}, (4, 4, 7, 7), (0x8A, 0xF0, 0x2C, 0xA2))
     schemes = [scheme_to_obj(gf7_scheme()), scheme_to_obj(gf8_scheme)]
     v_doc = {"field": gf8.descriptor(), "v_seq": [list(mask_elems(v)) for v in mqm_to_pqm(gf8_scheme)]}
     rng = random.Random(20261019)

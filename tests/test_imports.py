@@ -1,8 +1,9 @@
 """The runtime is standard-library only: every module the package imports,
 at top level or inside a function, is either in the standard library or a
-relative import of the package itself.  Two process-wide calls sit in one
-function each: `gc.freeze` in `cli.main`, and `os._exit` in the suite's
-forked worker."""
+relative import of the package itself.  Every name a module imports at top
+level is read in that module, so a deletion leaves no stray import behind.
+Two process-wide calls sit in one function each: `gc.freeze` in
+`cli.main`, and `os._exit` in the suite's forked worker."""
 
 import ast
 import sys
@@ -72,3 +73,31 @@ def test_process_wide_calls_sit_in_one_function(module, attr, owner):
         calls += found[0]
         imports += found[1]
     assert (calls, imports) == ([owner], []), (calls, imports)
+
+
+def _unread_imports(path: Path) -> list:
+    """The names the file's top-level imports bind that the file never reads;
+    `from __future__` imports bind none."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_top_level_import_is_read():
+    # __init__.py imports only to re-export
+    sources = [path for path in sorted(_PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    assert len(sources) > 5, sources
+    unread = [entry for path in sources for entry in _unread_imports(path)]
+    assert not unread, unread

@@ -38,7 +38,7 @@ def restricted_messages(ctx):
 def gf7_witness():
     ctx = field(7)
     return LeakageScheme(
-        ctx, 2, 0, 1, frozenset({1, 2, 4}), (1, 2, 4), (0x3C, 0x18, 0x24)
+        ctx, frozenset({1, 2, 4}), (1, 2, 4), (0x3C, 0x18, 0x24)
     )
 
 
@@ -47,7 +47,7 @@ def gf9_witness():
     # but verified below, which is all the replay machinery needs
     ctx = field(9)
     return LeakageScheme(
-        ctx, 2, 0, 1, frozenset({1, 2, 3, 6}), (1, 1, 2, 2, 3), (0x7, 0x4E, 0x7, 0xA1, 0x6)
+        ctx, frozenset({1, 2, 3, 6}), (1, 1, 2, 2, 3), (0x7, 0x4E, 0x7, 0xA1, 0x6)
     )
 
 
@@ -256,12 +256,8 @@ def test_run_pqm_trivial_cases():
 
 def test_translation_requires_restricted_shape():
     w = gf7_witness()
-    # a scheme of another dimension or other targets cannot be built to translate
-    for k, i, j in ((3, 0, 1), (3, 0, 2)):
-        with pytest.raises(InvalidScheme, match=r"need dimension k = 2 with targets \{0, 1\}"):
-            LeakageScheme(w.ctx, k, i, j, w.servers, w.schedule, w.sets)
     bad_schedule = LeakageScheme(
-        w.ctx, 2, 0, 1, frozenset({1, 2, 3, 4}), (1, 2, 3), w.sets
+        w.ctx, frozenset({1, 2, 3, 4}), (1, 2, 3), w.sets
     )
     with pytest.raises(InvalidScheme):
         mqm_to_pqm(bad_schedule)
@@ -277,7 +273,7 @@ def test_translation_of_the_gf7_witness():
 
 def test_empty_scheme_translates_to_empty_success():
     ctx = field(3)
-    empty = LeakageScheme(ctx, 2, 0, 1, frozenset({1}), (), ())
+    empty = LeakageScheme(ctx, frozenset({1}), (), ())
     v_seq = mqm_to_pqm(empty)
     assert v_seq == ()
     out, _ = run_pqm(ctx, v_seq, ())
@@ -335,7 +331,7 @@ def test_tampered_scheme_translates_but_can_fail():
     w = gf9_witness()
     sets = list(w.sets)
     sets[2] ^= 1  # move the element 0 across the third query set
-    tampered = LeakageScheme(w.ctx, 2, 0, 1, w.servers, w.schedule, tuple(sets))
+    tampered = LeakageScheme(w.ctx, w.servers, w.schedule, tuple(sets))
     assert len(mqm_to_pqm(tampered)) == 5  # structural validation still passes
     out, state = replay_transcript(tampered, (1, 3))
     assert out == FAIL

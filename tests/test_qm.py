@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import pytest
 
+from qmlab.cli import scheme_from_obj, scheme_to_obj
 from qmlab.errors import (
     BudgetExceeded,
     InvalidScheme,
@@ -45,6 +46,7 @@ from qmlab.qm import (
 )
 from qmlab.residues import build_sqrt_system, omega_set
 from qmlab.rscode import relabel
+from qmlab.shamir7 import gf7_scheme
 
 
 # test ids name the search modes as the paper does
@@ -60,7 +62,7 @@ def gf7_appendix_scheme() -> LeakageScheme:
     ctx = field(7)
     sets = [{0, 2, 5}, {0, 1, 6}, {0, 3, 4}, {0, 2, 5}, {0, 1, 6}]
     return LeakageScheme(
-        ctx, 2, 0, 1, frozenset(range(5)), (0, 1, 2, 3, 4),
+        ctx, frozenset(range(5)), (0, 1, 2, 3, 4),
         tuple(mask_of(s) for s in sets),
     )
 
@@ -75,7 +77,7 @@ def full_download_scheme(ctx, points=(1, 2)) -> LeakageScheme:
             schedule.append(a)
             sets.append(mask_of(x for x in ctx.elements if not (x >> w) & 1))
     return LeakageScheme(
-        ctx, 2, 0, 1, frozenset(points), tuple(schedule), tuple(sets)
+        ctx, frozenset(points), tuple(schedule), tuple(sets)
     )
 
 
@@ -89,20 +91,36 @@ def all_messages(ctx, domain):
 
 def test_scheme_validation():
     ctx = field(7)
-    for k, i, j in ((1, 0, 1), (2, 0, 0), (2, 1, 2), (3, 0, 1), (3, 0, 2)):
-        with pytest.raises(InvalidScheme, match=r"need dimension k = 2 with targets \{0, 1\}"):
-            LeakageScheme(ctx, k, i, j, frozenset({0}), (0,), (1,))
-    swapped = LeakageScheme(ctx, 2, 1, 0, frozenset({0}), (0,), (1,))
-    assert (swapped.i, swapped.j) == (1, 0)  # the targets as a set, in either order
     with pytest.raises(InvalidScheme, match=r"^schedule\[1\]: 1 is not a server$") as err:
-        LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0, 1), (1, 1))
+        LeakageScheme(ctx, frozenset({0}), (0, 1), (1, 1))
     assert err.value.entry == "schedule[1]"
     with pytest.raises(InvalidScheme, match=r"^servers\[2\]: 7 is not an element of GF\(7\)$"):
-        LeakageScheme(ctx, 2, 0, 1, [0, 6, 7], (0,), (1,))  # the servers as given
+        LeakageScheme(ctx, [0, 6, 7], (0,), (1,))  # the servers as given
     with pytest.raises(InvalidScheme):
-        LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0,), (1, 2))
+        LeakageScheme(ctx, frozenset({0}), (0,), (1, 2))
     with pytest.raises(InvalidScheme):
-        LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0,), (1 << 7,))
+        LeakageScheme(ctx, frozenset({0}), (0,), (1 << 7,))
+
+
+def test_a_scheme_is_its_queries_however_they_are_given():
+    ctx = field(7)
+    sets = (0x25, 0x43, 0x19)
+    built = [
+        LeakageScheme(ctx, [0, 1, 2], [0, 1, 2], list(sets)),
+        LeakageScheme(ctx, range(3), range(3), iter(sets)),
+        LeakageScheme(ctx, (2, 1, 0), (0, 1, 2), sets),
+    ]
+    assert built[0] == built[1] == built[2]
+    assert len({hash(s) for s in built}) == 1 and len(set(built)) == 1
+    assert built[0].servers == frozenset(range(3)) and built[0].schedule == (0, 1, 2)
+    assert built[0] != LeakageScheme(ctx, range(3), (0, 1, 2), (0x25, 0x43, 0x18))
+
+
+def test_a_scheme_file_with_the_targets_swapped_loads_as_the_same_scheme():
+    obj = scheme_to_obj(gf7_scheme())
+    swapped = scheme_from_obj({**obj, "i": 1, "j": 0})
+    assert swapped == scheme_from_obj(obj) and hash(swapped) == hash(scheme_from_obj(obj))
+    assert scheme_to_obj(swapped) == obj
 
 
 def test_leak_bit():
@@ -121,7 +139,7 @@ def test_transcript_examples():
 
 def test_run_qm_no_information():
     ctx = field(7)
-    s = LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (), ())
+    s = LeakageScheme(ctx, frozenset({0}), (), ())
     assert run_qm(s, ()).kind == FAIL
 
 
@@ -143,7 +161,7 @@ def test_run_qm_full_domain_product_zero_collision():
 
 def test_run_qm_invalid_transcript():
     ctx = field(7)
-    s = LeakageScheme(ctx, 2, 0, 1, frozenset({0}), (0,), (mask_full(7),))
+    s = LeakageScheme(ctx, frozenset({0}), (0,), (mask_full(7),))
     assert run_qm(s, (1,)).kind == INVALID_TRANSCRIPT
     assert run_qm(s, (0,)).kind == FAIL
 
@@ -159,7 +177,7 @@ def test_verify_appendix_scheme():
     assert verify_scheme(s, field(7).units)
     # blanking any one set breaks it
     broken = LeakageScheme(
-        s.ctx, 2, 0, 1, s.servers, s.schedule,
+        s.ctx, s.servers, s.schedule,
         s.sets[:2] + (0,) + s.sets[3:],
     )
     assert not verify_scheme(broken, field(7).units)
@@ -186,7 +204,7 @@ def test_verify_matches_replay():
     for _ in range(8):
         schedule = tuple(rng.randrange(5) for _ in range(3))
         sets = tuple(rng.getrandbits(5) for _ in range(3))
-        s = LeakageScheme(ctx5, 2, 0, 1, frozenset(range(5)), schedule, sets)
+        s = LeakageScheme(ctx5, frozenset(range(5)), schedule, sets)
         schemes.append((s, tuple(ctx5.elements)))
         schemes.append((s, tuple(ctx5.units)))
     for scheme, domain in schemes:
@@ -214,10 +232,8 @@ def test_mqm_check():
     # the appendix scheme contacts 0 and 3, which are outside the squares
     assert not mqm_check(gf7_appendix_scheme())
     ctx3 = field(3)
-    empty = LeakageScheme(ctx3, 2, 0, 1, frozenset({1}), (), ())
+    empty = LeakageScheme(ctx3, frozenset({1}), (), ())
     assert mqm_check(empty)  # one product class needs no bits
-    with pytest.raises(InvalidScheme):  # no scheme of another shape reaches the check
-        LeakageScheme(field(7), 3, 0, 2, frozenset({1}), (), ())
 
 
 def test_convert_eliminator_edges():
@@ -418,7 +434,7 @@ def test_search_minima_match_a_brute_force(q, mode, domain, points, minimum):
         for w in range(bits):
             schedule.append(a)
             sets.append(mask_of(v for v in ctx.elements if (cell[v] >> w) & 1))
-    scheme = LeakageScheme(ctx, 2, 0, 1, frozenset(points), schedule, sets)
+    scheme = LeakageScheme(ctx, frozenset(points), schedule, sets)
     assert scheme.t == minimum and verify_scheme(scheme, dom)
     assert search_min_bandwidth(ctx, mode, set(points))[0] == minimum
 
@@ -742,7 +758,7 @@ def test_side_labels_answer_two_coloring(q):
 def test_search_monotone_extension():
     _, scheme = search_min_bandwidth(field(7), MQM, {1, 2, 4})
     extended = LeakageScheme(
-        scheme.ctx, 2, 0, 1, scheme.servers,
+        scheme.ctx, scheme.servers,
         scheme.schedule + (1,), scheme.sets + (mask_of({0}),),
     )
     assert mqm_check(extended)

@@ -15,7 +15,6 @@ from qmlab.shamir7 import (
 def test_scheme_constants():
     scheme = gf7_scheme()
     assert scheme.ctx.q == 7
-    assert (scheme.k, scheme.i, scheme.j) == (2, 0, 1)
     assert scheme.servers == frozenset(range(5))
     assert scheme.schedule == tuple(range(5))
     assert [set(mask_elems(m)) for m in scheme.sets] == [
@@ -53,9 +52,6 @@ def test_every_truncation_fails():
     for z in range(5):
         short = LeakageScheme(
             scheme.ctx,
-            2,
-            0,
-            1,
             scheme.servers,
             scheme.schedule[:z] + scheme.schedule[z + 1 :],
             scheme.sets[:z] + scheme.sets[z + 1 :],
