@@ -31,6 +31,15 @@ Only `main` freezes: tests and the benchmark's traced child call
 `cmd_dispatch` in-process, and a freeze there would stop the collector
 for the rest of their process.  The suite's forked worker leaves through
 `os._exit` and never reaches the final collection.
+
+At top level this module imports only the qmlab modules `import qmlab`
+loads (errors, galois, residues, rscode, qm).  pqm, charsum, linleak and
+shamir7 are imported inside the functions that call them, so a command
+loads only what it runs: `game` loads pqm and none of the other three,
+`buckets` none of the four.  `suite` imports all four before it forks, so
+neither process imports them again.  json is imported only where text is
+parsed; `_escape` is `_json.encode_basestring_ascii`, the very function
+json.encoder uses, so rendering a report needs no json import.
 """
 
 from __future__ import annotations
@@ -38,17 +47,16 @@ from __future__ import annotations
 import argparse
 import gc
 import itertools
-import json
 import math
 import os
 import random
 import sys
 import time
+from _json import encode_basestring_ascii as _escape  # the escaper json.dumps uses
 from contextlib import nullcontext
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from .charsum import artin_schreier_solvable, b11_trace_kernel_check, complete_char_sum
 from .errors import NoPairExists, PreconditionViolated, QmLabError, SchemaError
 from .errors import UnsupportedField
 from .galois import (
@@ -62,15 +70,6 @@ from .galois import (
     mask_of,
     mask_to_hex,
     prime_power,
-)
-from .linleak import TraceQuery, linear_impossibility_check
-from .pqm import (
-    STRATEGIES,
-    bandwidth_bound,
-    mqm_to_pqm,
-    play_game,
-    replay_transcript,
-    run_pqm,
 )
 from .qm import (
     APPENDIX,
@@ -100,16 +99,12 @@ from .residues import (
     scaled_pair_union_sizes,
 )
 from .rscode import bucket, bucket_eval, scalar_evolution
-from .shamir7 import download_cost, figure1_table, gf7_scheme, one_bit_leak, verify_gf7
 
 _DOMAIN_MODES = {"all": QM, "nonzero": APPENDIX, "omega": MQM}  # qm verify --domain
 _EXHAUSTIVE_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------- reports
-
-
-_escape = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
 
 
 def _render(obj, memo: dict) -> str:
@@ -301,6 +296,8 @@ def scheme_from_obj(obj, where: str = "scheme") -> LeakageScheme:
 
 
 def _load_json(path: str):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()  # one decode of the whole file, so exc.start is its offset
@@ -394,11 +391,15 @@ def _figure1_mismatches(ctx: FieldCtx, table) -> list:
 
 def _query_space(ctx: FieldCtx) -> list:
     """Every trace probe (unit point, any coefficient) of one symbol."""
+    from .linleak import TraceQuery
+
     return [TraceQuery(a, g) for a in ctx.units for g in ctx.elements]
 
 
 def _sampled_queries(ctx: FieldCtx, t: int, count: int, seed: int):
     """Yield `count` seeded tuples of t trace probes, each at a random unit point."""
+    from .linleak import TraceQuery
+
     rng = random.Random(seed)
     for _ in range(count):
         yield tuple(TraceQuery(rng.randrange(1, ctx.q), rng.randrange(ctx.q)) for _ in range(t))
@@ -408,6 +409,8 @@ def _collision_tally(ctx: FieldCtx, k: int, i: int, j: int, tuples) -> tuple:
     """(count, verified, witness, failing) over the probe tuples: how many
     admit a verified (k, i, j) collision pair, the first pair with its probes
     as report fields, and the first tuple admitting none."""
+    from .linleak import linear_impossibility_check
+
     count = verified = 0
     witness = failing = None
     for tup in tuples:
@@ -439,6 +442,8 @@ def _residue_witness(ctx: FieldCtx, b11_star) -> dict:
 
 def _gf7_five_bits() -> tuple:
     """(verify_gf7() and a (5, 6) download cost, the cost as report fields)."""
+    from .shamir7 import download_cost, verify_gf7
+
     bits, naive = download_cost()
     return verify_gf7() and (bits, naive) == (5, 6), {"bits": bits, "naive_bits": naive}
 
@@ -487,6 +492,8 @@ def cmd_residues(args) -> RunReport:
 
 
 def cmd_charsum(args) -> RunReport:
+    from .charsum import complete_char_sum
+
     _no_empty("--poly", args.poly)
     ctx = field(args.q)
     for idx, c in enumerate(args.poly):
@@ -581,12 +588,16 @@ def _search_lines(payload: dict, work: dict) -> list:
 
 
 def cmd_qm_convert(args) -> RunReport:
+    from .pqm import mqm_to_pqm
+
     scheme = read_scheme(args.scheme)
     payload = {"v_seq": [mask_elems(v) for v in mqm_to_pqm(scheme)]}
     return RunReport("qm convert", payload, [], ctx=scheme.ctx)
 
 
 def cmd_pqm_run(args) -> RunReport:
+    from .pqm import run_pqm
+
     _no_empty("--transcript", args.transcript)
     for idx, bit in enumerate(args.transcript):
         if bit not in (0, 1):
@@ -605,6 +616,8 @@ def cmd_pqm_run(args) -> RunReport:
 
 
 def cmd_game(args) -> RunReport:
+    from .pqm import bandwidth_bound, play_game
+
     ctx = field(args.q)
     if args.max_rounds is not None and args.max_rounds < 1:
         raise PreconditionViolated(f"--max-rounds must be at least 1, got {args.max_rounds}")
@@ -634,6 +647,8 @@ def cmd_game(args) -> RunReport:
 
 
 def cmd_bound(args) -> RunReport:
+    from .pqm import bandwidth_bound
+
     ctx = field(args.q)
     payload = {"p": ctx.p, "e": ctx.e, **bandwidth_bound(ctx)._asdict()}
     return RunReport("bound", payload, [], ctx=ctx)
@@ -672,6 +687,8 @@ def cmd_linleak_check(args) -> RunReport:
 
 
 def cmd_gf7_verify(args) -> RunReport:
+    from .shamir7 import gf7_scheme
+
     scheme = gf7_scheme()
     ok, cost = _gf7_five_bits()
     payload = {**cost, "scheme": scheme_to_obj(scheme)}
@@ -680,6 +697,8 @@ def cmd_gf7_verify(args) -> RunReport:
 
 
 def cmd_gf7_table(args) -> RunReport:
+    from .shamir7 import figure1_table
+
     ctx = field(7)
     table = figure1_table()
     cells = {(a, g): tuple(sorted(table[a][g])) for a in ctx.elements for g in ctx.elements}
@@ -688,6 +707,8 @@ def cmd_gf7_table(args) -> RunReport:
 
 
 def cmd_gf7_leak(args) -> RunReport:
+    from .shamir7 import one_bit_leak
+
     _no_empty("--set", args.set)
     t_set = set(args.set)
     if not (0 <= args.alpha < 7 and all(0 <= x < 7 for x in t_set)):
@@ -726,6 +747,8 @@ def _sc_scalar_evolution(q: int) -> tuple:
 
 
 def _sc_weil(q: int) -> tuple:
+    from .charsum import complete_char_sum
+
     rep = complete_char_sum(field(q), (0, 1, 0, 1))
     return rep.square_free and rep.within_bound, {"value": rep.value, "bound": rep.bound}
 
@@ -739,6 +762,8 @@ def _sc_residue_mix(q: int) -> tuple:
 
 
 def _sc_artin_schreier(q: int) -> tuple:
+    from .charsum import artin_schreier_solvable
+
     ctx = field(q)
     for c in ctx.elements:
         solvable, root = artin_schreier_solvable(ctx, c)
@@ -751,10 +776,14 @@ def _sc_artin_schreier(q: int) -> tuple:
 
 
 def _sc_trace_kernel(q: int) -> tuple:
+    from .charsum import b11_trace_kernel_check
+
     return b11_trace_kernel_check(field(q)), {}
 
 
 def _sc_gf4_rejections() -> tuple:
+    from .charsum import b11_trace_kernel_check
+
     ctx = field(4)
     leaked = []
     for name, fn in (
@@ -818,6 +847,8 @@ def _sc_binary_sqrt_gf8() -> tuple:
 
 
 def _sc_gf7_scheme() -> tuple:
+    from .shamir7 import gf7_scheme
+
     scheme = gf7_scheme()
     ok, cost = _gf7_five_bits()
     sets = [set(mask_elems(m)) for m in scheme.sets]
@@ -832,6 +863,8 @@ def _sc_gf7_scheme() -> tuple:
 
 
 def _sc_gf7_truncations() -> tuple:
+    from .shamir7 import gf7_scheme
+
     scheme = gf7_scheme()
     surviving = []
     for z in range(scheme.t):
@@ -847,6 +880,8 @@ def _sc_gf7_truncations() -> tuple:
 
 
 def _sc_gf7_figure1() -> tuple:
+    from .shamir7 import figure1_table
+
     table = figure1_table()
     ok, fields = _failing(_figure1_mismatches(field(7), table))
     spots = (
@@ -860,6 +895,8 @@ def _sc_gf7_figure1() -> tuple:
 
 
 def _sc_gf7_leak() -> tuple:
+    from .shamir7 import one_bit_leak
+
     got = one_bit_leak(1, {0, 1, 6})
     quiet = one_bit_leak(0, set(range(7)))[0]
     ok = got[0] == frozenset({4}) and got[1] == frozenset({5}) and quiet == frozenset()
@@ -880,6 +917,10 @@ def _sc_b11_gf5() -> tuple:
 
 
 def _sc_scheme_roundtrip() -> tuple:
+    import json
+
+    from .shamir7 import gf7_scheme
+
     text = canonical_json(scheme_to_obj(gf7_scheme()))
     again = canonical_json(scheme_to_obj(scheme_from_obj(json.loads(text))))
     return text == again, {}
@@ -893,6 +934,8 @@ def _sc_off_schedule() -> tuple:
 
 def _sc_bound_forms(qmax: int) -> tuple:
     """Reports q = min(qmax, 16), the largest field it compares, not its row's q."""
+    from .pqm import bandwidth_bound
+
     expect_real = {4: -2.0, 5: 1.0}
     expect_int = {7: 3, 8: 2, 9: 4, 11: 4, 13: 5, 16: 4}
     bad = {}
@@ -911,6 +954,8 @@ def _sc_bound_forms(qmax: int) -> tuple:
 
 def _replay_battery(scheme: LeakageScheme) -> tuple:
     """(all replays succeed, number of messages, largest terminal class)."""
+    from .pqm import replay_transcript
+
     messages = _domain_messages(scheme.ctx, omega_set(scheme.ctx))
     ok, worst = True, 0
     for message, _ in messages:
@@ -921,6 +966,8 @@ def _replay_battery(scheme: LeakageScheme) -> tuple:
 
 
 def _sc_pipeline_gf7() -> tuple:
+    from .pqm import bandwidth_bound
+
     floor = bandwidth_bound(field(7)).integer_round_bound
     got = _searched_gf7()
     if got is None:
@@ -945,6 +992,8 @@ def _sc_replay_gf8() -> tuple:
 
 
 def _sc_game_floor(q: int, seed: int) -> tuple:
+    from .pqm import bandwidth_bound, mqm_to_pqm, play_game
+
     ctx = field(q)
     floor = bandwidth_bound(ctx).integer_round_bound
     rounds = {}
@@ -971,6 +1020,8 @@ def _sc_linleak_seeded(seed: int) -> tuple:
 
 
 def _sc_linleak_lift() -> tuple:
+    from .linleak import TraceQuery, linear_impossibility_check
+
     ctx = field(4)
     tup = (TraceQuery(1, 2), TraceQuery(2, 1), TraceQuery(3, 3))
     ok = linear_impossibility_check(ctx, 3, 0, 2, tup) and linear_impossibility_check(
@@ -1101,6 +1152,10 @@ def cmd_suite(args) -> RunReport:
     # opened before the battery runs, so an unwritable path costs no work
     with open(args.timings, "w", encoding="utf-8") if args.timings else nullcontext() as timings:
         sweep, fixed = _sweep_rows(args.qmax), _fixed_rows(args.qmax, args.seed)
+        # the rows import these when they run; loaded once here, before the
+        # fork, neither process pays for them again
+        from . import charsum, linleak, pqm, shamir7  # noqa: F401
+
         if hasattr(os, "fork"):
             pairs = _run_beside(sweep, fixed)
         else:
@@ -1164,6 +1219,8 @@ def _pqm_run_flags(sp) -> None:
 
 
 def _game_flags(sp) -> None:
+    from .pqm import STRATEGIES
+
     _field_flag(sp)
     _seed_flag(sp)
     sp.add_argument("--strategy", choices=STRATEGIES, default="greedy-halving")

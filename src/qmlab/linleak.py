@@ -34,6 +34,11 @@ class TraceQuery(_Query):
             raise PreconditionViolated("query point must be a unit")
         return super().__new__(cls, alpha, gamma)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Built through __new__, so `_replace` is checked as well."""
+        return cls(*iterable)
+
 
 def trace_leak(ctx: FieldCtx, query: TraceQuery, x: int) -> int:
     """The leaked prime-subfield symbol trace(gamma * x)."""

@@ -16,6 +16,16 @@ I_gamma = sqrt(gamma)*B_1(1), built once per field, class gamma holds
 |I_gamma & alive| points, and its x-values are (1/sqrt(gamma))*(I_gamma &
 alive).  The game and the transcript replay advance that one mask.
 
+The survivor total is the sum over alive y of y's cluster size
+#{gamma : y in I_gamma}.  The sizes are kept as a few bit planes (plane k
+holds the y whose size has bit k set), carry-added from the class images
+once per game or replay, so a total is one popcount per plane, not one
+per class.
+Greedy-halving walks one order of the elements with a nonzero cluster,
+sorted once per game by (-size, u), and skips the dead ones; the elements
+of weight 0 move neither side's sum, so they all fall on the side the
+last comparison picks.
+
 A bit-leakage scheme in the restricted regime translates into such an
 eliminator sequence (one per query), and the adversarial game plays the
 same pruning loop with the bits chosen by an adversary who always keeps the
@@ -72,8 +82,25 @@ def _class_images(ctx: FieldCtx) -> dict:
     return {g: mask_of(scale_elems(ctx, r, ref)) for g, r in build_sqrt_system(ctx).items()}
 
 
-def _total(images: dict, alive: int) -> int:
-    return sum((image & alive).bit_count() for image in images.values())
+def _cluster_planes(images: dict) -> tuple:
+    """The cluster sizes #{gamma : y in I_gamma} as bit planes: y is in
+    plane k exactly when bit k of its size is set.  Built by adding the
+    images one at a time into the planes with ripple carries."""
+    planes = []
+    for carry in images.values():
+        for k, plane in enumerate(planes):
+            planes[k] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            planes.append(carry)
+    return tuple(planes)
+
+
+def _total(planes: tuple, alive: int) -> int:
+    """Survivors over all classes: the sum of the cluster sizes over alive."""
+    return sum((plane & alive).bit_count() << k for k, plane in enumerate(planes))
 
 
 def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
@@ -89,11 +116,12 @@ def run_pqm(ctx: FieldCtx, v_seq, bits) -> tuple:
     if len(bits) != len(v_seq):
         raise PreconditionViolated("transcript length must match the eliminators")
     images = _class_images(ctx)
+    planes = _cluster_planes(images)
     alive = mask_full(ctx.q)
-    history = [_total(images, alive)]
+    history = [_total(planes, alive)]
     for v_mask, bit in zip(v_seq, bits):
         alive = _keep(alive, _eliminator(ctx, v_mask), bit)
-        history.append(_total(images, alive))
+        history.append(_total(planes, alive))
     classes = {
         g: scale_mask(ctx, ctx.inv(root[g]), image & alive)
         for g, image in images.items()
@@ -170,7 +198,7 @@ def bandwidth_bound(ctx: FieldCtx) -> BoundReport:
     return BoundReport(real, integer)
 
 
-def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
+def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, planes: tuple):
     """Per-game eliminator generator for the named strategy; it is called
     with the surviving y-mask and the round index and returns a q-bit mask.
 
@@ -179,26 +207,33 @@ def _alice(ctx: FieldCtx, strategy: str, seed: int, v_seq: tuple, images: dict):
     stalled round) asks for the same V again and gets it from the memo."""
     if strategy == "greedy-halving":
         # weight of u = surviving points the bit-0 branch would drop: the
-        # cluster size #{gamma : u in I_gamma} while u is alive, 0 after;
-        # balance the two branch weights by largest-first assignment
+        # cluster size while u is alive, 0 after; balance the two branch
+        # weights by largest-first assignment, in (-weight, u) order
         cluster = [0] * ctx.q
-        for image in images.values():
-            for u in mask_elems(image):
-                cluster[u] += 1
+        for k, plane in enumerate(planes):
+            for u in mask_elems(plane):
+                cluster[u] += 1 << k
+        order = sorted((u for u in range(ctx.q) if cluster[u]), key=lambda u: (-cluster[u], u))
+        support = mask_of(order)
+        full = mask_full(ctx.q)
         memo = {}
 
         def emit(alive: int, _round: int):
             if alive in memo:
                 return memo[alive]
-            weight = [c if alive >> u & 1 else 0 for u, c in enumerate(cluster)]
             side_v, side_rest = 0, 0
             v = 0
-            for u in sorted(range(ctx.q), key=lambda u: (-weight[u], u)):
-                if side_v <= side_rest:
-                    v |= 1 << u
-                    side_v += weight[u]
-                elif u != 0:
-                    side_rest += weight[u]
+            for u in order:
+                if alive >> u & 1:
+                    if side_v <= side_rest:
+                        v |= 1 << u
+                        side_v += cluster[u]
+                    elif u != 0:
+                        side_rest += cluster[u]
+            # the weight-0 elements come last and move neither sum, so the
+            # one comparison left puts all of them on the same side
+            if side_v <= side_rest:
+                v |= full & ~(alive & support)
             memo[alive] = v
             return v
 
@@ -234,15 +269,17 @@ def play_game(
     game record; rounds is math.inf when the cap or an exhausted replay
     sequence stops the game first."""
     images = _class_images(ctx)
-    emit = _alice(ctx, strategy, seed, v_seq, images)
+    planes = _cluster_planes(images)
+    emit = _alice(ctx, strategy, seed, v_seq, planes)
     alive = mask_full(ctx.q)
-    history = [_total(images, alive)]
+    history = [_total(planes, alive)]
     ties = []
     played = 0
     if max_rounds is None:
         max_rounds = 4 * ctx.e * (ctx.p - 1).bit_length()  # 4 * e * ceil(log2 p)
+    left = list(images)
     while True:
-        left = [g for g, image in images.items() if image & alive]
+        left = [g for g in left if images[g] & alive]  # alive only shrinks
         if len(left) <= 1 or played >= max_rounds:
             break
         v_mask = emit(alive, played)
@@ -250,7 +287,7 @@ def play_game(
             break
         _eliminator(ctx, v_mask)
         branches = [_keep(alive, v_mask, bit) for bit in (0, 1)]
-        sizes = [_total(images, branch) for branch in branches]
+        sizes = [_total(planes, branch) for branch in branches]
         bit = 0 if sizes[0] >= sizes[1] else 1
         if sizes[0] == sizes[1]:
             ties.append(played)

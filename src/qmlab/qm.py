@@ -89,6 +89,11 @@ class LeakageScheme(_Scheme):
             raise InvalidScheme("each leakage set must be a q-bit mask")
         return self
 
+    @classmethod
+    def _make(cls, iterable):
+        """Built through __new__, so `_replace` is checked as well."""
+        return cls(*iterable)
+
     @property
     def t(self) -> int:
         return len(self.schedule)

@@ -119,14 +119,59 @@ def test_reports_render_as_the_stdlib_encoder(capsys, monkeypatch, argv):
     assert out == _stdlib_json(rendered[-1]) + "\n"
 
 
-def test_cli_import_leaves_out_dataclasses():
-    # pytest imports dataclasses itself, so compare sys.modules in a fresh interpreter
+# the modules qmlab.cli imports only inside the functions that call them
+_DEFERRED = ("json", "qmlab.charsum", "qmlab.linleak", "qmlab.pqm", "qmlab.shamir7")
+
+
+def _fresh_output(code: str) -> str:
+    """What `code` prints in a fresh interpreter; pytest itself has imported
+    dataclasses, json and every qmlab module, so sys.modules is compared there."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    return done.stdout
+
+
+def _deferred_loaded_by(argv) -> list:
+    """The _DEFERRED modules cmd_dispatch(argv) adds to sys.modules, after an
+    import of qmlab.cli in a fresh interpreter."""
     code = (
-        "import sys; before = set(sys.modules); import qmlab.cli; "
-        "print('dataclasses' in set(sys.modules) - before)"
+        "import contextlib, io, sys\n"
+        "from qmlab.cli import cmd_dispatch\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    cmd_dispatch({argv!r})\n"
+        f"print(' '.join(sorted(set(sys.modules) - before & set({_DEFERRED!r}))))\n"
     )
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    return _fresh_output(code).split()
+
+
+def test_cli_import_leaves_out_dataclasses():
+    code = (
+        "import sys; before = set(sys.modules); import qmlab; package = set(sys.modules); "
+        "import qmlab.cli; added = set(sys.modules) - package; "
+        "print(' '.join(sorted(m for m in added if m.startswith('qmlab'))), "
+        "'json' in added, 'dataclasses' in set(sys.modules) - before)"
+    )
+    assert _fresh_output(code) == "qmlab.cli False False\n"
+    # a command loads the one deferred module it runs
+    assert _deferred_loaded_by(["game", "--q", "7", "--json"]) == ["qmlab.pqm"]
+    assert _deferred_loaded_by(["buckets", "--q", "7"]) == []
+    # the suite loads its rows' modules before the worker forks
+    code = (
+        "import contextlib, io, sys\n"
+        "from qmlab import cli\n"
+        "run, seen = cli._run_beside, []\n"
+        "def spy(*args):\n"
+        f"    seen.extend(m for m in {_DEFERRED!r} if m in sys.modules)\n"
+        "    return run(*args)\n"
+        "cli._run_beside = spy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.cmd_dispatch(['suite', '--qmax', '8'])\n"
+        "print(' '.join(seen))\n"
+    )
+    assert set(_DEFERRED[1:]) <= set(_fresh_output(code).split())
+    # the escaper json.dumps uses, bound without importing json
+    assert cli._escape is json.encoder.encode_basestring_ascii
 
 
 def test_qmlab_is_imported_from_this_checkout():
@@ -1164,35 +1209,39 @@ def _tampered_image(ctx, gamma, alpha):
 
 
 @pytest.mark.parametrize(
-    "row, attr, fake, fields",
+    "row, target, fake, fields",
     [
-        pytest.param("artin-schreier-gf8", "artin_schreier_solvable",
+        pytest.param("artin-schreier-gf8", "qmlab.charsum.artin_schreier_solvable",
                      lambda ctx, c: (False, None),
                      {"counterexample": {"c": 0, "trace": 0, "roots": [0, 1]}},
                      id="artin-schreier-verdict"),
-        pytest.param("artin-schreier-gf8", "artin_schreier_solvable",
+        pytest.param("artin-schreier-gf8", "qmlab.charsum.artin_schreier_solvable",
                      lambda ctx, c: (ctx.trace(c) == 0, 2),
                      {"counterexample": {"c": 0, "root": 2}}, id="artin-schreier-root"),
-        pytest.param("regime-rejections-gf4", "build_sqrt_system", lambda ctx: {},
+        pytest.param("regime-rejections-gf4", "qmlab.cli.build_sqrt_system", lambda ctx: {},
                      {"counterexample": ["sqrt-system"]}, id="gf4-rejections"),
-        pytest.param("pair-absent-gf5", "scaled_pair", lambda ctx: None,
+        pytest.param("pair-absent-gf5", "qmlab.cli.scaled_pair", lambda ctx: None,
                      {"b11": [0, 2, 3]}, id="gf5-pair-absent"),
-        pytest.param("gf7-truncations-fail", "verify_scheme", lambda scheme, domain: True,
+        pytest.param("gf7-truncations-fail", "qmlab.cli.verify_scheme",
+                     lambda scheme, domain: True,
                      {"counterexample": [0, 1, 2, 3, 4]}, id="gf7-truncations"),
-        pytest.param("bound-closed-forms", "bandwidth_bound", lambda ctx: BoundReport(0.0, 0),
+        pytest.param("bound-closed-forms", "qmlab.pqm.bandwidth_bound",
+                     lambda ctx: BoundReport(0.0, 0),
                      {"q": 16, "counterexample": _BOUND_BAD}, id="bound-forms"),
-        pytest.param("gf7-figure1-golden", "bucket_eval", _tampered_image,
+        pytest.param("gf7-figure1-golden", "qmlab.cli.bucket_eval", _tampered_image,
                      {"counterexample": [[3, 5]]}, id="figure1-mismatch"),
-        pytest.param("pipeline-gf7", "search_min_bandwidth", lambda *args, **kwargs: None,
+        pytest.param("pipeline-gf7", "qmlab.cli.search_min_bandwidth",
+                     lambda *args, **kwargs: None,
                      {"error": "search found nothing"}, id="pipeline-gf7"),
     ],
 )
-def test_each_fixed_suite_row_can_fail(request, monkeypatch, row, attr, fake, fields):
+def test_each_fixed_suite_row_can_fail(request, monkeypatch, row, target, fake, fields):
     # a row is a check only if its failure branch runs: break the one name
-    # the row reads through qmlab.cli and the row must report its witness
+    # the row reads, where the row reads it (a name cli imports inside the
+    # row is read from its own module), and the row must report its witness
     request.addfinalizer(cli._searched_gf7.cache_clear)
     cli._searched_gf7.cache_clear()  # pipeline-gf7 reads the search through this cache
-    monkeypatch.setattr(cli, attr, fake)
+    monkeypatch.setattr(target, fake)
     rows = {r.name: r for r in cli._sweep_rows(16) + cli._fixed_rows(16, 0)}
     check = json.loads(canonical_json(cli._timed_row(rows[row])[0]))
     assert check == {"name": row, "pass": False, "q": rows[row].q, **fields}

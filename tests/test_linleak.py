@@ -35,6 +35,16 @@ def test_query_point_must_be_a_unit():
     assert query != TraceQuery(5, 3)
 
 
+def test_replace_and_make_check_the_point_as_the_constructor_does():
+    with pytest.raises(PreconditionViolated, match="^query point must be a unit$"):
+        TraceQuery(1, 0)._replace(alpha=0)
+    with pytest.raises(PreconditionViolated, match="^query point must be a unit$"):
+        TraceQuery._make((0, 1))
+    moved = TraceQuery(1, 0)._replace(gamma=3)
+    assert moved == TraceQuery(1, 3) and type(moved) is TraceQuery
+    assert TraceQuery._make((2, 5)) == TraceQuery(2, 5)
+
+
 def test_trace_leak_values():
     ctx7 = field(7)
     for g in ctx7.elements:

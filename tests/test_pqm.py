@@ -7,7 +7,9 @@ from qmlab.errors import InvalidScheme, PreconditionViolated, UnknownStrategy
 from qmlab.galois import field, mask_elems, mask_of, scale_mask
 from qmlab.pqm import (
     BoundReport,
+    _alice,
     _class_images,
+    _cluster_planes,
     bandwidth_bound,
     mqm_to_pqm,
     play_game,
@@ -197,25 +199,63 @@ def test_game_matches_three_call_reference():
             assert got == want, (q, strategy, seed, cap, len(v_seq))
 
 
-@pytest.mark.parametrize("q", [121, 128])
+PRUNE_Q = (121, 125, 128, 243)  # the fields the benchmark's games play
+
+
+@pytest.mark.parametrize("q", PRUNE_Q)
 def test_stalled_games_match_three_call_reference(q):
     # on the benchmark's fields the greedy game stalls: 20 or more of its
     # rounds leave the survivors unchanged and read the memoized V
     ctx = field(q)
-    games = {s: play_game(ctx, s, seed=0) for s in ("greedy-halving", "random-set")}
-    for strategy, got in games.items():
-        assert got == reference_game(ctx, strategy, 0), (q, strategy)
-    history = games["greedy-halving"]["survivors"]
+    runs = [("greedy-halving", 0, None)] + [("random-set", s, None) for s in range(5)]
+    runs += [(strategy, 0, cap) for strategy in ("greedy-halving", "random-set")
+             for cap in (0, 1, 3)]
+    for strategy, seed, cap in runs:
+        got = play_game(ctx, strategy, seed=seed, max_rounds=cap)
+        assert got == reference_game(ctx, strategy, seed, max_rounds=cap), (strategy, seed, cap)
+    history = play_game(ctx, "greedy-halving")["survivors"]
     assert sum(a == b for a, b in zip(history, history[1:])) >= 20, q
 
 
+def test_greedy_eliminator_matches_the_per_round_sort():
+    # the game record cannot see where the weight-0 elements go (they hold
+    # no class point), so V itself is compared with the per-round sort
+    for q in REFERENCE_Q + PRUNE_Q:
+        ctx = field(q)
+        rng = random.Random(q)
+        images = _class_images(ctx)
+        emit = _alice(ctx, "greedy-halving", 0, (), _cluster_planes(images))
+        alives = [(1 << q) - 1] + [rng.getrandbits(q) for _ in range(20)]
+        for alive in alives:
+            weight = [0] * q
+            for image in images.values():
+                for u in mask_elems(image & alive):
+                    weight[u] += 1
+            side_v, side_rest, want = 0, 0, 0
+            for u in sorted(range(q), key=lambda u: (-weight[u], u)):
+                if side_v <= side_rest:
+                    want |= 1 << u
+                    side_v += weight[u]
+                elif u != 0:
+                    side_rest += weight[u]
+            assert emit(alive, 0) == want, (q, hex(alive))
+
+
 def test_class_images_scale_the_reference_image():
-    for q in REFERENCE_Q + (121, 125, 128, 243):
+    for q in REFERENCE_Q + PRUNE_Q:
         ctx = field(q)
         ref = mask_of(b11(ctx))
         want = {g: scale_mask(ctx, r, ref) for g, r in build_sqrt_system(ctx).items()}
         images = _class_images(ctx)
         assert images == want and list(images) == list(want), q
+        # plane k holds the y whose cluster size #{gamma : y in I_gamma} has bit k set
+        cluster = [0] * q
+        for image in images.values():
+            for y in mask_elems(image):
+                cluster[y] += 1
+        planes = _cluster_planes(images)
+        decoded = [sum((plane >> y & 1) << k for k, plane in enumerate(planes)) for y in range(q)]
+        assert decoded == cluster, q
 
 
 def test_run_pqm_matches_round_by_round_reference():

@@ -102,6 +102,18 @@ def test_scheme_validation():
         LeakageScheme(ctx, frozenset({0}), (0,), (1 << 7,))
 
 
+def test_replace_and_make_check_the_scheme_as_the_constructor_does():
+    scheme = gf7_scheme()
+    with pytest.raises(InvalidScheme, match=r"^schedule\[0\]: 9 is not a server$"):
+        scheme._replace(schedule=(9,), sets=(1 << 9,))
+    with pytest.raises(InvalidScheme, match=r"^schedule\[0\]: 9 is not a server$"):
+        LeakageScheme._make((scheme.ctx, scheme.servers, (9,), (1 << 9,)))
+    fewer = scheme._replace(schedule=(0, 1), sets=scheme.sets[:2])
+    assert fewer == LeakageScheme(scheme.ctx, scheme.servers, (0, 1), scheme.sets[:2])
+    assert type(fewer) is LeakageScheme
+    assert LeakageScheme._make(scheme) == scheme
+
+
 def test_a_scheme_is_its_queries_however_they_are_given():
     ctx = field(7)
     sets = (0x25, 0x43, 0x19)
